@@ -1,16 +1,13 @@
-// perf_detect — benchmark-gated perf harness for the cycle enumeration
-// engines (DESIGN.md §12).
+// perf_detect — benchmark-gated perf harness for cycle enumeration
+// (DESIGN.md §12).
 //
 // Builds synthetic lock-dependency workloads spanning the shapes that matter
 // for enumeration cost, records one trace per workload, and times the
 // enumeration step alone (D_σ construction and clock tracking are paid once,
 // outside the timed region) for:
 //
-//   reference        — the original DFS over every canonical tuple (jobs=1);
-//   scc              — SCC-partitioned bitset engine, jobs=1;
-//   arena            — the same algorithm over arena-allocated SoA/CSR node
-//                      state (support/arena.hpp), jobs=1;
-//   scc-parN         — the scc engine at N-way enumeration parallelism;
+//   scc              — the SCC-partitioned bitset engine, jobs=1;
+//   scc-parN         — the same engine at N-way enumeration parallelism;
 //   scc+clock-cut    — jobs=1 with the Pruner's test folded into the search.
 //
 // Workloads:
@@ -18,12 +15,11 @@
 //              nontrivial SCC, combinatorially many cycles (enumeration-bound
 //              in the cyclic region itself);
 //   layered  — globally ordered lock pairs: a large acyclic D_σ with zero
-//              cycles. The reference engine still DFS-chains from every
-//              tuple up to the length cap; the SCC engine proves every
-//              component trivial and does no search at all;
+//              cycles; the engine proves every component trivial and does no
+//              search at all;
 //   mixed    — the layered DAG with a small ring embedded: the largest
-//              workload, and the honest speedup gate (cycles exist, but
-//              almost all tuples are acyclic noise);
+//              workload (cycles exist, but almost all tuples are acyclic
+//              noise);
 //   phased   — two thread generations separated by a join barrier sharing
 //              one ring: every cross-generation cycle is infeasible, so the
 //              in-search clock cut has real branches to kill.
@@ -34,12 +30,13 @@
 // per-cycle replay.
 //
 // Emits BENCH_detect.json (with hardware_concurrency recorded — on a 1-CPU
-// container the parallel column is honestly ~1x). Exits 1 if any engine's
-// cycle sequence diverges from the reference, or the clock-cut enumeration
-// differs from the batch-pruned survivors: speed only counts when the answer
-// is identical.
+// container the parallel column is honestly ~1x). Exits 1 if the engine's
+// cycle sequence at either jobs level diverges from the reference DFS
+// oracle of the test suite (tests/testutil.hpp, run untimed), or the
+// clock-cut enumeration differs from the batch-pruned survivors: speed only
+// counts when the answer is identical.
 //
-//   perf_detect [--quick] [--huge] [--jobs=N] [--out=BENCH_detect.json]
+//   perf_detect [--quick] [--jobs=N] [--out=BENCH_detect.json]
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -58,6 +55,7 @@
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
+#include "testutil.hpp"
 
 using namespace wolf;
 
@@ -250,16 +248,12 @@ struct WorkloadResult {
   std::size_t events = 0;
   std::size_t tuples = 0;     // canonical
   std::size_t cycles = 0;     // full enumeration
-  EngineSample reference;
   EngineSample scc;
-  EngineSample arena;
   EngineSample scc_par;
   EngineSample clock_cut;
   std::size_t surviving_cycles = 0;  // batch-pruner survivors
-  double speedup_scc = 0;      // reference / scc, both jobs=1
-  double speedup_arena = 0;    // scc / arena, both jobs=1
   double speedup_par = 0;      // scc jobs=1 / scc jobs=N
-  bool identical = false;      // ref == scc == arena == scc-par,
+  bool identical = false;      // oracle == scc == scc-par,
                                // clock cut == survivors
 };
 
@@ -282,16 +276,8 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
   r.tuples = det.dep.unique.size();
 
   DetectorOptions options;
-  options.engine = CycleEngine::kReference;
-  r.reference = time_engine(det.dep, options, nullptr, reps);
-
-  options.engine = CycleEngine::kScc;
   r.scc = time_engine(det.dep, options, nullptr, reps);
 
-  options.engine = CycleEngine::kArenaScc;
-  r.arena = time_engine(det.dep, options, nullptr, reps);
-
-  options.engine = CycleEngine::kScc;
   options.jobs = jobs;
   r.scc_par = time_engine(det.dep, options, nullptr, reps);
 
@@ -299,21 +285,20 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
   options.clock_prune_during_search = true;
   r.clock_cut = time_engine(det.dep, options, &det.clocks, reps);
 
-  r.cycles = r.reference.cycles;
-  if (r.scc.seconds > 0) r.speedup_scc = r.reference.seconds / r.scc.seconds;
-  if (r.arena.seconds > 0) r.speedup_arena = r.scc.seconds / r.arena.seconds;
+  r.cycles = r.scc.cycles;
   if (r.scc_par.seconds > 0) r.speedup_par = r.scc.seconds / r.scc_par.seconds;
 
-  // The correctness gates: identical canonical sequence across engines and
-  // jobs levels; clock-cut enumeration == the batch pruner's survivors.
+  // The correctness gates: the reference oracle's canonical sequence at
+  // both jobs levels; clock-cut enumeration == the batch pruner's survivors.
+  const std::string oracle = cycles_fingerprint(
+      test::enumerate_cycles_reference(det.dep, DetectorOptions{}).cycles);
   const std::vector<PruneVerdict> verdicts = prune(det);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < det.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(det.cycles[i]);
   r.surviving_cycles = survivors.size();
-  r.identical = r.reference.fingerprint == r.scc.fingerprint &&
-                r.reference.fingerprint == r.arena.fingerprint &&
-                r.reference.fingerprint == r.scc_par.fingerprint &&
+  r.identical = oracle == r.scc.fingerprint &&
+                oracle == r.scc_par.fingerprint &&
                 r.clock_cut.fingerprint == cycles_fingerprint(survivors);
   return r;
 }
@@ -390,12 +375,10 @@ void sample_json(std::ostream& os, const char* key, const EngineSample& s,
 }
 
 void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
-                const ReplaySharingResult& sharing, bool quick, bool huge,
-                int jobs) {
+                const ReplaySharingResult& sharing, bool quick, int jobs) {
   os << "{\n"
      << "  \"bench\": \"perf_detect\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"huge\": " << (huge ? "true" : "false") << ",\n"
      << "  \"hardware_concurrency\": " << ThreadPool::hardware_jobs() << ",\n"
      << "  \"jobs\": " << jobs << ",\n"
      << "  \"workloads\": [\n";
@@ -407,14 +390,10 @@ void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
        << "      \"canonical_tuples\": " << r.tuples << ",\n"
        << "      \"cycles\": " << r.cycles << ",\n"
        << "      \"surviving_cycles\": " << r.surviving_cycles << ",\n";
-    sample_json(os, "reference", r.reference, ",");
     sample_json(os, "scc", r.scc, ",");
-    sample_json(os, "arena", r.arena, ",");
     sample_json(os, "scc_parallel", r.scc_par, ",");
     sample_json(os, "scc_clock_cut", r.clock_cut, ",");
-    os << "      \"speedup_scc_vs_reference\": " << r.speedup_scc << ",\n"
-       << "      \"speedup_arena_vs_scc\": " << r.speedup_arena << ",\n"
-       << "      \"speedup_parallel\": " << r.speedup_par << ",\n"
+    os << "      \"speedup_parallel\": " << r.speedup_par << ",\n"
        << "      \"identical\": " << (r.identical ? "true" : "false") << '\n'
        << "    }" << (i + 1 < results.size() ? "," : "") << '\n';
   }
@@ -438,9 +417,6 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define_bool("quick", false,
                     "CI smoke mode: smaller workloads, fewer reps");
-  flags.define_bool("huge", false,
-                    "scale the layered/mixed workloads up (~4x tuples) for "
-                    "the arena-vs-heap comparison");
   flags.define_int("jobs", 0,
                    "enumeration parallelism for the scc-parN column "
                    "(0 = hardware concurrency, min 4 for the comparison)");
@@ -450,11 +426,10 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const bool quick = flags.get_bool("quick");
-  const bool huge = flags.get_bool("huge");
   int jobs = static_cast<int>(flags.get_int("jobs"));
   if (jobs <= 0) jobs = std::max(4, ThreadPool::hardware_jobs());
   int reps = static_cast<int>(flags.get_int("reps"));
-  if (reps <= 0) reps = quick ? 3 : (huge ? 2 : 5);
+  if (reps <= 0) reps = quick ? 3 : 5;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   std::vector<sim::Program> programs;
@@ -463,13 +438,6 @@ int main(int argc, char** argv) {
     programs.push_back(make_layered(16, 20, 6));
     programs.push_back(make_mixed(16, 20, 6, 5, 2));
     programs.push_back(make_phased(4, 2));
-  } else if (huge) {
-    // The ring grows mildly (its cycle count is combinatorial in threads x
-    // degree); the acyclic bulk — where arena locality matters — grows ~4x.
-    programs.push_back(make_ring(13, 3));
-    programs.push_back(make_layered(80, 96, 24));
-    programs.push_back(make_mixed(80, 96, 24, 6, 2));
-    programs.push_back(make_phased(8, 2));
   } else {
     programs.push_back(make_ring(12, 3));
     programs.push_back(make_layered(40, 48, 12));
@@ -489,16 +457,12 @@ int main(int argc, char** argv) {
       programs[mixed_index], seed, /*max_members=*/8,
       /*attempts=*/quick ? 3 : 5);
 
-  TextTable table({"Workload", "Tuples", "Cycles", "Reference", "SCC",
-                   "SCC/ref", "Arena", "Par(" + std::to_string(jobs) + "j)",
-                   "Clock-cut", "Identical"});
+  TextTable table({"Workload", "Tuples", "Cycles", "SCC",
+                   "Par(" + std::to_string(jobs) + "j)", "Clock-cut",
+                   "Identical"});
   for (const WorkloadResult& r : results)
     table.add_row({r.name, std::to_string(r.tuples), std::to_string(r.cycles),
-                   TextTable::num(r.reference.seconds * 1e3, 2) + " ms",
                    TextTable::num(r.scc.seconds * 1e3, 2) + " ms",
-                   TextTable::num(r.speedup_scc, 1) + "x",
-                   TextTable::num(r.arena.seconds * 1e3, 2) + " ms (" +
-                       TextTable::num(r.speedup_arena, 2) + "x)",
                    TextTable::num(r.speedup_par, 2) + "x",
                    TextTable::num(r.clock_cut.seconds * 1e3, 2) + " ms",
                    r.identical ? "yes" : "NO"});
@@ -518,7 +482,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, results, sharing, quick, huge, jobs);
+  write_json(os, results, sharing, quick, jobs);
   std::cout << "\nwrote " << out << " (hardware concurrency "
             << ThreadPool::hardware_jobs() << "; parallel column is ~1x on a "
             << "1-CPU machine)\n";
@@ -526,7 +490,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   for (const WorkloadResult& r : results) all_identical &= r.identical;
   if (!all_identical) {
-    std::cerr << "FAIL: engine outputs diverged\n";
+    std::cerr << "FAIL: enumeration diverged from the reference oracle\n";
     return 1;
   }
   if (!sharing.ok) {

@@ -1,28 +1,27 @@
 #include "suite_runner.hpp"
 
-#include "core/online_sink.hpp"
 #include "rt/executor.hpp"
 #include "support/stats.hpp"
 #include "support/stopwatch.hpp"
+#include "trace/recorder.hpp"
+#include "wolf.hpp"
 
 namespace wolf::bench {
 
 namespace {
 
-// Fans one event stream out to both the trace recorder and the online
-// detection bookkeeping — the full instrumentation cost of the paper's
-// detector.
-class TeeSink final : public TraceSink {
+// The full instrumentation cost of the paper's detector: every event is
+// recorded and fed to the online D_σ/clock bookkeeping of a wolf::Session.
+class InstrumentationSink final : public TraceSink {
  public:
-  TeeSink(TraceSink& a, TraceSink& b) : a_(&a), b_(&b) {}
   void on_event(Event e) override {
-    a_->on_event(e);
-    b_->on_event(e);
+    recorder_.on_event(e);
+    session_.feed(e);
   }
 
  private:
-  TraceSink* a_;
-  TraceSink* b_;
+  TraceRecorder recorder_;
+  Session session_ = Session::open(Config{});
 };
 
 }  // namespace
@@ -67,10 +66,8 @@ double measure_rt_slowdown(const sim::Program& program, std::uint64_t seed,
     rt::ExecutorOptions options;
     options.instrument = instrument;
     options.seed = run_seed;
-    TraceRecorder recorder;
-    OnlineAnalysisSink analysis;
-    TeeSink tee(recorder, analysis);
-    if (instrument) options.sink = &tee;
+    InstrumentationSink sink;
+    if (instrument) options.sink = &sink;
     Stopwatch watch;
     sim::RunResult result = rt::execute(program, options);
     return result.outcome == sim::RunOutcome::kCompleted ? watch.seconds()

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/pruner.hpp"
 #include "graph/digraph.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
-#include "support/arena.hpp"
 #include "support/thread_pool.hpp"
 
 namespace wolf {
@@ -26,100 +23,6 @@ const obs::Counter kSccsVisited("detector.sccs_nontrivial");
 const obs::Counter kClockCuts("detector.clock_cuts");
 const obs::Counter kCyclesFound("detector.cycles");
 
-// ------------------------------------------------------------- reference
-// The original DFS enumerator, kept verbatim as the executable
-// specification of the canonical cycle order (detector.hpp):
-//   * holders_of_ — lock ℓ → canonical tuples holding ℓ in their lockset, in
-//     dep.unique order;
-//   * chain_threads_/chain_locks_ — running thread set and lockset union of
-//     the current chain, so the pairwise-disjointness test is O(|lockset|)
-//     per candidate.
-class ReferenceEnumerator {
- public:
-  ReferenceEnumerator(const LockDependency& dep, const DetectorOptions& options)
-      : dep_(dep), options_(options) {
-    for (std::size_t u : dep_.unique)
-      for (LockId l : dep_.tuples[u].lockset) holders_of_[l].push_back(u);
-  }
-
-  std::vector<PotentialDeadlock> run() {
-    std::size_t done = 0;
-    for (std::size_t u : dep_.unique) {
-      if (exhausted()) break;
-      push_member(u);
-      extend();
-      pop_member(u);
-      obs::progress_tick("detect", ++done, dep_.unique.size());
-    }
-    return std::move(cycles_);
-  }
-
- private:
-  bool exhausted() const { return cycles_.size() >= options_.max_cycles; }
-
-  void push_member(std::size_t idx) {
-    kChains.add();
-    chain_.push_back(idx);
-    const LockTuple& tuple = dep_.tuples[idx];
-    chain_threads_.push_back(tuple.thread);
-    for (LockId l : tuple.lockset) chain_locks_.insert(l);
-  }
-
-  void pop_member(std::size_t idx) {
-    const LockTuple& tuple = dep_.tuples[idx];
-    for (LockId l : tuple.lockset) chain_locks_.erase(l);
-    chain_threads_.pop_back();
-    chain_.pop_back();
-  }
-
-  // True when `candidate` can legally extend the current chain: distinct
-  // thread and pairwise-disjoint lockset with every chain member.
-  bool compatible(const LockTuple& candidate) const {
-    for (ThreadId t : chain_threads_)
-      if (t == candidate.thread) return false;
-    for (LockId l : candidate.lockset)
-      if (chain_locks_.count(l) != 0) return false;
-    return true;
-  }
-
-  void extend() {
-    if (exhausted()) return;
-    const LockTuple& first = dep_.tuples[chain_.front()];
-    const LockTuple& last = dep_.tuples[chain_.back()];
-
-    // Close the cycle? Requires length >= 2 and lock(last) ∈ lockset(first).
-    if (chain_.size() >= 2 && first.holds(last.lock)) {
-      kCyclesFound.add();
-      PotentialDeadlock cycle;
-      cycle.tuple_idx = chain_;
-      cycles_.push_back(std::move(cycle));
-    }
-    if (static_cast<int>(chain_.size()) >= options_.max_cycle_length) return;
-
-    auto holders = holders_of_.find(last.lock);
-    if (holders == holders_of_.end()) return;
-    for (std::size_t u : holders->second) {
-      if (exhausted()) return;
-      const LockTuple& next = dep_.tuples[u];
-      // Canonical rotation: the first tuple's thread is the cycle minimum.
-      if (next.thread <= first.thread) continue;
-      if (!compatible(next)) continue;
-      push_member(u);
-      extend();
-      pop_member(u);
-    }
-  }
-
-  const LockDependency& dep_;
-  const DetectorOptions& options_;
-  std::unordered_map<LockId, std::vector<std::size_t>> holders_of_;
-  std::vector<std::size_t> chain_;
-  std::vector<ThreadId> chain_threads_;
-  std::unordered_set<LockId> chain_locks_;
-  std::vector<PotentialDeadlock> cycles_;
-};
-
-// ------------------------------------------------------------------- scc
 using Word = std::uint64_t;
 constexpr std::size_t kWordBits = 64;
 
@@ -133,18 +36,11 @@ inline void flip_bit(Word* w, std::size_t i) {
   w[i / kWordBits] ^= Word{1} << (i % kWordBits);
 }
 
-template <class Engine>
-EnumerationResult run_partitioned(const Engine& e);
-
 // Dense model of the canonical tuple view: node i ↔ dep.unique[i], with the
 // per-node thread/lock/τ scalars hoisted into flat arrays, each lockset as a
 // word-mask over dense LockIds, and the per-lock inverted holder index in
-// node (= dep.unique) order so the DFS candidate order matches the
-// reference enumerator exactly.
-//
-// Data members are public: ChainSearch / run_partitioned below run the
-// identical search over this engine and its arena twin (ArenaSccEngine),
-// which is what makes their outputs bit-identical by construction.
+// node (= dep.unique) order, which fixes the canonical DFS candidate order.
+// Read-only once built: ChainSearch workers share it without locking.
 class SccEngine {
  public:
   SccEngine(const LockDependency& dep, const DetectorOptions& options,
@@ -188,7 +84,7 @@ class SccEngine {
       matrix_.emplace(*clocks, dep);
   }
 
-  EnumerationResult run() { return run_partitioned(*this); }
+  EnumerationResult run() const;
 
   // Tarjan-partitions the tuple digraph (η → η' iff η' holds lock(η) and the
   // threads differ — every edge a deadlock chain can take). A cycle through
@@ -246,141 +142,9 @@ class SccEngine {
   std::optional<ClockPairMatrix> matrix_;
 };
 
-// --------------------------------------------------------------- arena-scc
-// SccEngine's partition and search over arena-allocated SoA state
-// (DESIGN.md §15): node scalars, node-major lockset words, and the per-lock
-// inverted holder index as one CSR (offsets + data) all live in a single
-// support::Arena owned by the engine — allocation is a handful of pointer
-// bumps instead of O(locks + nodes) heap vectors, and the arrays are laid
-// out in the order the DFS touches them. The arena outlives every worker
-// (run_partitioned joins its pool before the engine dies) and workers only
-// read, so no synchronization is needed on the slab.
-class ArenaSccEngine {
- public:
-  ArenaSccEngine(const LockDependency& dep, const DetectorOptions& options,
-                 const ClockTracker* clocks)
-      : dep_(dep), options_(options) {
-    const std::size_t n = dep.unique.size();
-    LockId max_lock = -1;
-    ThreadId max_thread = -1;
-    std::size_t holds_total = 0;
-    for (std::size_t u : dep.unique) {
-      const LockTuple& t = dep.tuples[u];
-      max_lock = std::max(max_lock, t.lock);
-      for (LockId l : t.lockset) max_lock = std::max(max_lock, l);
-      max_thread = std::max(max_thread, t.thread);
-      holds_total += t.lockset.size();
-    }
-    lock_count_ = static_cast<std::size_t>(max_lock + 1);
-    lock_words_ = words_for(lock_count_);
-    thread_words_ = words_for(static_cast<std::size_t>(max_thread + 1));
-
-    n_ = n;
-    tuple_of_ = arena_.alloc_array<std::size_t>(n);
-    thread_ = arena_.alloc_array<ThreadId>(n);
-    lock_ = arena_.alloc_array<LockId>(n);
-    tau_ = arena_.alloc_array<Timestamp>(n);
-    lockset_ = arena_.alloc_array<Word>(n * lock_words_);
-    holder_offsets_ = arena_.alloc_array<std::uint32_t>(lock_count_ + 1);
-    holder_data_ = arena_.alloc_array<std::uint32_t>(holds_total);
-    comp_ = arena_.alloc_array<std::uint32_t>(n);
-
-    // CSR fill: per-lock counts, prefix sums, then nodes in increasing node
-    // order — the identical per-lock candidate order of the heap engines.
-    for (std::size_t i = 0; i < n; ++i) {
-      const LockTuple& t = dep.tuples[dep.unique[i]];
-      tuple_of_[i] = dep.unique[i];
-      thread_[i] = t.thread;
-      lock_[i] = t.lock;
-      tau_[i] = t.tau;
-      for (LockId l : t.lockset)
-        ++holder_offsets_[static_cast<std::size_t>(l) + 1];
-    }
-    for (std::size_t l = 0; l < lock_count_; ++l)
-      holder_offsets_[l + 1] += holder_offsets_[l];
-    std::uint32_t* cursor = arena_.alloc_array<std::uint32_t>(lock_count_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const LockTuple& t = dep.tuples[tuple_of_[i]];
-      Word* mask = &lockset_[i * lock_words_];
-      for (LockId l : t.lockset) {
-        const std::size_t li = static_cast<std::size_t>(l);
-        flip_bit(mask, li);
-        holder_data_[holder_offsets_[li] + cursor[li]++] =
-            static_cast<std::uint32_t>(i);
-      }
-    }
-
-    partition();
-
-    if (options.clock_prune_during_search && clocks != nullptr)
-      matrix_.emplace(*clocks, dep);
-  }
-
-  EnumerationResult run() { return run_partitioned(*this); }
-
-  // Same digraph, same Tarjan partition as SccEngine::partition — the edge
-  // source is the CSR instead of the vector-of-vectors.
-  void partition() {
-    Digraph graph(static_cast<int>(n_));
-    for (std::size_t u = 0; u < n_; ++u)
-      for (std::uint32_t v : holders(static_cast<std::size_t>(lock_[u])))
-        if (thread_[v] != thread_[u])
-          graph.add_edge_fast(static_cast<Digraph::Node>(u),
-                              static_cast<Digraph::Node>(v));
-    const auto components = graph.strongly_connected_components();
-    comp_nontrivial_ = arena_.alloc_array<std::uint8_t>(components.size());
-    std::uint64_t nontrivial = 0;
-    for (std::size_t c = 0; c < components.size(); ++c) {
-      for (Digraph::Node node : components[c])
-        comp_[static_cast<std::size_t>(node)] = static_cast<std::uint32_t>(c);
-      const bool big = components[c].size() >= 2;
-      comp_nontrivial_[c] = big ? 1 : 0;
-      if (big) ++nontrivial;
-    }
-    kSccsVisited.add(nontrivial);
-  }
-
-  std::size_t size() const { return n_; }
-
-  bool in_nontrivial_scc(std::size_t node) const {
-    return comp_nontrivial_[comp_[node]] != 0;
-  }
-
-  const Word* lockset(std::size_t node) const {
-    return &lockset_[node * lock_words_];
-  }
-
-  support::Slice<std::uint32_t> holders(std::size_t lock) const {
-    return {holder_data_ + holder_offsets_[lock],
-            holder_offsets_[lock + 1] - holder_offsets_[lock]};
-  }
-
-  const LockDependency& dep_;
-  const DetectorOptions& options_;
-  support::Arena arena_;
-  std::size_t n_ = 0;
-  std::size_t lock_count_ = 0;
-  std::size_t lock_words_ = 1;
-  std::size_t thread_words_ = 1;
-  std::size_t* tuple_of_ = nullptr;  // node → index into dep.tuples
-  ThreadId* thread_ = nullptr;
-  LockId* lock_ = nullptr;
-  Timestamp* tau_ = nullptr;
-  Word* lockset_ = nullptr;  // node-major, lock_words_ words per node
-  std::uint32_t* holder_offsets_ = nullptr;  // CSR: lock → [start, end)
-  std::uint32_t* holder_data_ = nullptr;     // CSR: nodes holding each lock
-  std::uint32_t* comp_ = nullptr;            // node → SCC id
-  std::uint8_t* comp_nontrivial_ = nullptr;  // SCC id → carries cycles?
-  std::optional<ClockPairMatrix> matrix_;
-};
-
-// One DFS worker: bitset chain state sized once, reused across starts. The
-// same search runs over both SCC engines (heap or arena layout) — the
-// engine only supplies node scalars, lockset words, the per-lock holder
-// range, the partition, and the options/clock surface.
-template <class Engine>
+// One DFS worker: bitset chain state sized once, reused across starts.
 struct ChainSearch {
-  explicit ChainSearch(const Engine& engine)
+  explicit ChainSearch(const SccEngine& engine)
       : e(engine),
         chain_threads(engine.thread_words_, 0),
         chain_locks(engine.lock_words_, 0) {}
@@ -465,7 +229,7 @@ struct ChainSearch {
     }
   }
 
-  const Engine& e;
+  const SccEngine& e;
   ThreadId first_thread = kInvalidThread;
   std::uint32_t start_comp = 0;
   std::vector<std::uint32_t> chain;
@@ -474,24 +238,23 @@ struct ChainSearch {
   std::vector<PotentialDeadlock> out;
 };
 
-// The serial / per-start-parallel driver both SCC engines run under.
-template <class Engine>
-EnumerationResult run_partitioned(const Engine& e) {
-  const std::size_t n = e.size();
+// Runs the search from every nontrivial-SCC start, serially or per-start
+// in parallel.
+EnumerationResult SccEngine::run() const {
+  const std::size_t n = size();
   std::size_t nontrivial_starts = 0;
   for (std::size_t i = 0; i < n; ++i)
-    if (e.in_nontrivial_scc(i)) ++nontrivial_starts;
+    if (in_nontrivial_scc(i)) ++nontrivial_starts;
 
-  int jobs = e.options_.jobs <= 0 ? ThreadPool::hardware_jobs()
-                                  : e.options_.jobs;
+  int jobs = options_.jobs <= 0 ? ThreadPool::hardware_jobs() : options_.jobs;
   if (nontrivial_starts <= 1) jobs = 1;
 
   EnumerationResult result;
   if (jobs == 1) {
-    ChainSearch<Engine> search(e);
+    ChainSearch search(*this);
     for (std::size_t i = 0; i < n; ++i) {
-      if (search.out.size() >= e.options_.max_cycles) break;
-      if (!e.in_nontrivial_scc(i)) continue;
+      if (search.out.size() >= options_.max_cycles) break;
+      if (!in_nontrivial_scc(i)) continue;
       search.run_from(static_cast<std::uint32_t>(i));
       obs::progress_tick("detect", i + 1, n);
     }
@@ -505,8 +268,8 @@ EnumerationResult run_partitioned(const Engine& e) {
     ThreadPool pool(jobs);
     std::atomic<std::size_t> starts_done{0};
     pool.parallel_for_each(n, [&](std::size_t i) {
-      if (!e.in_nontrivial_scc(i)) return;
-      ChainSearch<Engine> search(e);
+      if (!in_nontrivial_scc(i)) return;
+      ChainSearch search(*this);
       search.run_from(static_cast<std::uint32_t>(i));
       per_start[i] = std::move(search.out);
       obs::progress_tick(
@@ -515,45 +278,21 @@ EnumerationResult run_partitioned(const Engine& e) {
     });
     for (std::size_t i = 0; i < n; ++i) {
       for (PotentialDeadlock& cycle : per_start[i]) {
-        if (result.cycles.size() >= e.options_.max_cycles) break;
+        if (result.cycles.size() >= options_.max_cycles) break;
         result.cycles.push_back(std::move(cycle));
       }
     }
   }
-  result.truncated = result.cycles.size() >= e.options_.max_cycles;
+  result.truncated = result.cycles.size() >= options_.max_cycles;
   return result;
 }
 
 }  // namespace
 
-EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
-                                             const DetectorOptions& options) {
-  EnumerationResult result;
-  result.cycles = ReferenceEnumerator(dep, options).run();
-  result.truncated = result.cycles.size() >= options.max_cycles;
-  return result;
-}
-
-EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
-                                       const DetectorOptions& options,
-                                       const ClockTracker* clocks) {
-  return SccEngine(dep, options, clocks).run();
-}
-
-EnumerationResult enumerate_cycles_arena_scc(const LockDependency& dep,
-                                             const DetectorOptions& options,
-                                             const ClockTracker* clocks) {
-  return ArenaSccEngine(dep, options, clocks).run();
-}
-
 EnumerationResult enumerate_cycles_ex(const LockDependency& dep,
                                       const DetectorOptions& options,
                                       const ClockTracker* clocks) {
-  if (options.engine == CycleEngine::kReference)
-    return enumerate_cycles_reference(dep, options);
-  if (options.engine == CycleEngine::kArenaScc)
-    return enumerate_cycles_arena_scc(dep, options, clocks);
-  return enumerate_cycles_scc(dep, options, clocks);
+  return SccEngine(dep, options, clocks).run();
 }
 
 }  // namespace wolf

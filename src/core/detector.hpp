@@ -45,16 +45,6 @@ struct Defect {
   std::vector<std::size_t> cycle_idx;  // indices into Detection::cycles
 };
 
-// Which cycle-enumeration engine runs (core/cycle_engine.hpp). Both produce
-// bit-identical Detections; the reference engine exists for differential
-// testing and as the executable specification of the canonical cycle order.
-enum class CycleEngine : std::uint8_t {
-  kReference,  // the original iGoodLock-style DFS over all canonical tuples
-  kScc,        // SCC-partitioned bitset DFS, optionally parallel (default)
-  kArenaScc,   // kScc's algorithm over arena-allocated SoA/CSR node state
-               // (support/arena.hpp) — fewer allocations, better locality
-};
-
 // Deprecated as a public entry type: prefer wolf::Config::detector
 // (wolf.hpp). Kept for one release as the underlying section type.
 struct DetectorOptions {
@@ -66,18 +56,16 @@ struct DetectorOptions {
   // MagicFuzzer-style fixpoint reduction of the tuple set before cycle
   // enumeration (core/magic_prune.hpp). Cycle-set preserving.
   bool magic_prune = false;
-  // Enumeration engine; see CycleEngine.
-  CycleEngine engine = CycleEngine::kScc;
-  // Enumeration parallelism across canonical start tuples (SCC engine only):
-  // 1 = serial, 0 = hardware concurrency, N = N-way. Cycles merge in
-  // canonical start-tuple order, so the Detection is bit-identical at every
-  // level.
+  // Enumeration parallelism across canonical start tuples
+  // (core/cycle_engine.hpp): 1 = serial, 0 = hardware concurrency, N =
+  // N-way. Cycles merge in canonical start-tuple order, so the Detection is
+  // bit-identical at every level.
   int jobs = 1;
   // Folds the Pruner's (S,J) overlap test (Algorithm 2) into the DFS as a
   // branch cut: a chain containing a thread pair that provably cannot
   // overlap is abandoned before it spawns cycles, so the emitted cycle set
   // equals the post-prune() survivors instead of the full enumeration.
-  // SCC engine only; changes Detection::cycles by design (default off).
+  // Changes Detection::cycles by design (default off).
   bool clock_prune_during_search = false;
 };
 
@@ -101,47 +89,24 @@ Detection detect(const Trace& trace, const DetectorOptions& options = {});
 
 // Detection fed block-by-block from a TraceReader — e.g. a
 // StreamTraceReader over a trace file — without ever materializing the
-// whole event vector. On a defective stream (reader.ok() false afterwards)
-// the Detection reflects the events delivered before the failure; callers
-// that need strictness must check the reader.
+// whole event vector. D_σ and the clocks advance online (Algorithm 1 order);
+// enumeration and defect grouping run once the stream ends. On a defective
+// stream (reader.ok() false afterwards) the Detection reflects the events
+// delivered before the failure; callers that need strictness must check the
+// reader. Incremental online analysis goes through wolf::Session (wolf.hpp).
 Detection detect_reader(TraceReader& reader,
                         const DetectorOptions& options = {});
 
-// The incremental core of detect_reader: feed blocks (or single events) as
-// they arrive, then finish() once. D_σ and the clocks advance online
-// (Algorithm 1 order); cycle enumeration and defect grouping — which need
-// the complete relation — run at finish().
-class StreamingDetector {
- public:
-  explicit StreamingDetector(const DetectorOptions& options = {})
-      : options_(options) {}
-
-  void add(const Event& e) { builder_.add(e); }
-  void add_block(const std::vector<Event>& events) {
-    for (const Event& e : events) builder_.add(e);
-  }
-
-  std::size_t events_seen() const { return builder_.events_seen(); }
-
-  // Enumerates cycles and groups defects over everything added so far, and
-  // returns the completed Detection. Leaves the detector cleared.
-  Detection finish();
-
- private:
-  DetectorOptions options_;
-  LockDependencyBuilder builder_;
-};
-
-// Shared back half of StreamingDetector::finish and the governed detector
+// Shared back half of detect_reader, wolf::Session and the governor
 // (core/governor.hpp): enumerates cycles and groups defects over an
 // already-built relation (`unique` must be computed, e.g. by
 // LockDependencyBuilder::take_dependency or snapshot_dependency).
 Detection finish_detection(LockDependency dep, ClockTracker clocks,
                            const DetectorOptions& options);
 
-// Cycle enumeration only (used by tests that build D_σ by hand). Dispatches
-// on options.engine; truncation and clock-aware variants live in
-// core/cycle_engine.hpp.
+// Cycle enumeration only (used by tests that build D_σ by hand); the
+// truncation-reporting and clock-aware form is enumerate_cycles_ex
+// (core/cycle_engine.hpp).
 std::vector<PotentialDeadlock> enumerate_cycles(
     const LockDependency& dep, const DetectorOptions& options = {});
 

@@ -9,7 +9,6 @@
 #include "obs/counters.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "trace/trace_reader.hpp"
 
 namespace wolf {
 
@@ -115,24 +114,22 @@ std::size_t tuple_bytes(const LockTuple& tuple) {
          tuple.context.capacity() * sizeof(ExecIndex);
 }
 
-GovernedStreamingDetector::GovernedStreamingDetector(
-    const GovernorOptions& options)
-    : options_(options) {
+Governor::Governor(const GovernorOptions& options) : options_(options) {
   if (options_.window_events == 0) options_.window_events = 65536;
 }
 
-GovernedStreamingDetector::~GovernedStreamingDetector() = default;
+Governor::~Governor() = default;
 
-int GovernedStreamingDetector::resolved_jobs() const {
+int Governor::resolved_jobs() const {
   return options_.jobs <= 0 ? ThreadPool::hardware_jobs() : options_.jobs;
 }
 
-ThreadPool& GovernedStreamingDetector::pool() {
+ThreadPool& Governor::pool() {
   if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved_jobs());
   return *pool_;
 }
 
-void GovernedStreamingDetector::add(const Event& e) {
+void Governor::add(const Event& e) {
   // Malformed input containment: a semantically inconsistent event (e.g. a
   // release of a lock the thread does not hold, from a corrupted live feed)
   // fires an invariant check inside the builder. The builder commits its
@@ -156,19 +153,17 @@ void GovernedStreamingDetector::add(const Event& e) {
   for (std::size_t i = tuples_fed_; i < tuples.size(); ++i) {
     prefilter_.on_tuple(tuples[i]);
     store_bytes_ += tuple_bytes(tuples[i]);
-    if (options_.incremental_scc)
-      tuples_by_lock_[tuples[i].lock].push_back(i);
+    tuples_by_lock_[tuples[i].lock].push_back(i);
   }
   tuples_fed_ = tuples.size();
   if (++window_events_ >= options_.window_events) close_window();
 }
 
-void GovernedStreamingDetector::add_block(const std::vector<Event>& events) {
+void Governor::add_block(const std::vector<Event>& events) {
   for (const Event& e : events) add(e);
 }
 
-void GovernedStreamingDetector::note_event(GovernorVerdict& v,
-                                           std::string note) const {
+void Governor::note_event(GovernorVerdict& v, std::string note) const {
   if (v.notes.size() < kMaxNotes) {
     v.notes.push_back(std::move(note));
   } else if (v.notes.size() == kMaxNotes) {
@@ -176,9 +171,8 @@ void GovernedStreamingDetector::note_event(GovernorVerdict& v,
   }
 }
 
-void GovernedStreamingDetector::surface_cycle(const PotentialDeadlock& cycle,
-                                              const LockDependency& dep,
-                                              WindowReport& w) {
+void Governor::surface_cycle(const PotentialDeadlock& cycle,
+                             const LockDependency& dep, WindowReport& w) {
   const std::uint64_t key = cycle_key(cycle, dep);
   if (std::find(seen_cycle_keys_.begin(), seen_cycle_keys_.end(), key) !=
       seen_cycle_keys_.end())
@@ -196,13 +190,12 @@ void GovernedStreamingDetector::surface_cycle(const PotentialDeadlock& cycle,
   }
 }
 
-void GovernedStreamingDetector::surface_new_cycles(const Detection& det,
-                                                   WindowReport& w) {
+void Governor::surface_new_cycles(const Detection& det, WindowReport& w) {
   for (const PotentialDeadlock& cycle : det.cycles)
     surface_cycle(cycle, det.dep, w);
 }
 
-void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
+void Governor::run_window_detection(WindowReport& w) {
   if (options_.fault != nullptr &&
       options_.fault->detect_throw_window == static_cast<int>(w.index)) {
     throw std::runtime_error("injected detection fault (window " +
@@ -210,31 +203,10 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
   }
 
   DetectorOptions opt = options_.detector;
-  if (w.level == DetectionLevel::kClockPruned) {
-    opt.engine = CycleEngine::kScc;  // the clock cut is SCC-engine only
+  if (w.level == DetectionLevel::kClockPruned)
     opt.clock_prune_during_search = true;
-  }
 
-  if (!options_.incremental_scc) {
-    // Historical recompute path: full-store enumeration per suspicious
-    // window, gated on the pre-filter generation counter. No edge change
-    // since the last boundary ⇒ the verdict — and the cycle set — cannot
-    // have changed; skip even the SCC pass.
-    const std::uint64_t gen = prefilter_.generation();
-    const bool changed = gen != prefilter_generation_;
-    prefilter_generation_ = gen;
-    if (!changed) return;
-    w.suspicious = prefilter_.suspicious();
-    if (!w.suspicious) return;
-    if (w.level >= DetectionLevel::kPrefilterOnly) return;
-    Detection det = finish_detection(builder_.snapshot_dependency(),
-                                     builder_.clocks(), opt);
-    surface_new_cycles(det, w);
-    return;
-  }
-
-  // Incremental path: nothing marked dirty since the last boundary ⇒
-  // nothing to re-examine.
+  // Nothing marked dirty since the last boundary ⇒ nothing to re-examine.
   if (!prefilter_.has_dirty()) return;
   w.suspicious = prefilter_.suspicious();
   if (!w.suspicious) {
@@ -244,8 +216,7 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
     return;
   }
   // At a non-enumerating rung keep the marks queued: a later promoted
-  // window drains the accumulated dirt and catches up — unlike the
-  // generation gate, which consumed the delta before the rung check.
+  // window drains the accumulated dirt and catches up.
   if (w.level >= DetectionLevel::kPrefilterOnly) return;
 
   const std::vector<std::vector<LockId>> dirty_comps =
@@ -334,29 +305,28 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
     surface_cycle(dets[m.det].cycles[m.idx], dets[m.det].dep, w);
 }
 
-void GovernedStreamingDetector::recompute_store_bytes() {
+void Governor::recompute_store_bytes() {
   store_bytes_ = 0;
   for (const LockTuple& t : builder_.pending().tuples)
     store_bytes_ += tuple_bytes(t);
 }
 
-void GovernedStreamingDetector::rebuild_lock_index() {
+void Governor::rebuild_lock_index() {
   tuples_by_lock_.clear();
   const auto& tuples = builder_.pending().tuples;
   for (std::size_t i = 0; i < tuples.size(); ++i)
     tuples_by_lock_[tuples[i].lock].push_back(i);
 }
 
-void GovernedStreamingDetector::govern_memory(WindowReport& w) {
+void Governor::govern_memory(WindowReport& w) {
   if (options_.memory_budget_mb == 0) return;
   const std::size_t budget = options_.memory_budget_mb << 20;
   if (store_bytes_ <= budget) return;
 
-  // In incremental mode every dropped tuple is reported to the pre-filter so
-  // its lock-graph edge refcounts (and hence SCCs) track the live store.
-  LockDependencyBuilder::RemovalHook expire;
-  if (options_.incremental_scc)
-    expire = [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); };
+  // Every dropped tuple is reported to the pre-filter so its lock-graph edge
+  // refcounts (and hence SCCs) track the live store.
+  const LockDependencyBuilder::RemovalHook expire =
+      [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); };
 
   // Rung 1: compaction — lossless for the cycle set (enumeration runs over
   // the canonical view), so it is always tried first.
@@ -379,12 +349,10 @@ void GovernedStreamingDetector::govern_memory(WindowReport& w) {
       kEvictedCounter.add(w.tuples_evicted);
     }
   }
-  if (options_.incremental_scc &&
-      w.tuples_compacted + w.tuples_evicted > 0)
-    rebuild_lock_index();
+  if (w.tuples_compacted + w.tuples_evicted > 0) rebuild_lock_index();
 }
 
-void GovernedStreamingDetector::close_window() {
+void Governor::close_window() {
   WindowReport w;
   w.index = windows_.size();
   w.events = window_events_;
@@ -435,7 +403,7 @@ void GovernedStreamingDetector::close_window() {
   window_events_ = 0;
 }
 
-Detection GovernedStreamingDetector::finish() {
+Detection Governor::finish() {
   if (window_events_ > 0) close_window();
   finished_ = true;
   verdict_.final_level = rung_;
@@ -460,14 +428,10 @@ Detection GovernedStreamingDetector::finish() {
   return det;
 }
 
-GovernorVerdict GovernedStreamingDetector::verdict() const {
+GovernorVerdict Governor::verdict() const {
   GovernorVerdict v = verdict_;
   if (!finished_) v.final_level = rung_;
   return v;
 }
-
-// detect_reader_governed lives in core/session.cpp now: it is a deprecated
-// shim over wolf::Session, which absorbed the drain/pipeline loop that used
-// to sit here.
 
 }  // namespace wolf

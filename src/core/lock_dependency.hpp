@@ -69,8 +69,8 @@ struct LockDependency {
 
 // Incremental construction of D_σ plus the τ/V clock state, one event at a
 // time. This is the single build path behind LockDependency::from_trace
-// (offline), OnlineAnalysisSink (during execution) and StreamingDetector
-// (block-by-block off a TraceReader) — because all three feed the same
+// (offline), detect_reader (block-by-block off a TraceReader) and
+// wolf::Session (online, event by event) — because all three feed the same
 // builder, batch and streaming detection cannot diverge.
 class LockDependencyBuilder {
  public:
@@ -95,17 +95,17 @@ class LockDependencyBuilder {
   const LockDependency& pending() const { return dep_; }
 
   // Copy of the relation so far with `unique` computed, without consuming
-  // the builder — what per-window cycle enumeration runs on.
+  // the builder.
   LockDependency snapshot_dependency() const;
 
   // Copy of just the tuples at `indices` (ascending positions into
   // pending().tuples), with `unique` computed over that subset. The
-  // incremental governor path enumerates dirty-SCC tuple subsets through
-  // this instead of snapshotting the whole store.
+  // governor enumerates dirty-SCC tuple subsets through this instead of
+  // snapshotting the whole store.
   LockDependency snapshot_subset(const std::vector<std::size_t>& indices) const;
 
   // Notification hook for the compaction/eviction overloads below: invoked
-  // once per dropped tuple, before the store forgets it. The incremental
+  // once per dropped tuple, before the store forgets it. The governor's
   // pre-filter uses it to refcount lock-graph edges down.
   using RemovalHook = std::function<void(const LockTuple&)>;
 

@@ -420,22 +420,4 @@ WolfReport analyze_session(const sim::Program& program, Session& session,
   return report;
 }
 
-WolfReport analyze_reader(const sim::Program& program, TraceReader& reader,
-                          const WolfOptions& options) {
-  Session session =
-      Session::open_streaming(options.detector, options.jobs);
-  return analyze_session(program, session, reader, options);
-}
-
-WolfReport analyze_reader_governed(const sim::Program& program,
-                                   TraceReader& reader,
-                                   const WolfOptions& options,
-                                   const GovernorOptions& governor) {
-  GovernorOptions gov = governor;
-  gov.detector = options.detector;
-  if (options.fault != nullptr) gov.fault = options.fault;
-  Session session = Session::open_governed(gov);
-  return analyze_session(program, session, reader, options);
-}
-
 }  // namespace wolf

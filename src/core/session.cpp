@@ -1,11 +1,9 @@
-// wolf::Session — the unified online-analysis facade (wolf.hpp).
+// wolf::Session — the one online-analysis entry point (wolf.hpp).
 //
-// The implementation is deliberately thin: governed sessions delegate to
-// GovernedStreamingDetector, ungoverned ones to StreamingDetector, and
-// ingest() owns the decode→ingest pipelining that detect_reader_governed
-// and analyze_reader used to duplicate. The deprecated shims at the bottom
-// route through a Session so the historical entry points and the new facade
-// cannot drift apart — they *are* the same code now.
+// Governed sessions delegate to the Governor (core/governor.hpp);
+// ungoverned ones keep an unbounded LockDependencyBuilder and enumerate once
+// in finish(), exactly like detect_reader. ingest() owns the decode→ingest
+// pipelining both modes share.
 
 #include <cassert>
 #include <memory>
@@ -31,23 +29,22 @@ struct LiveCollector {
 }  // namespace
 
 struct Session::Impl {
-  bool governed = false;
   bool finished = false;
   int jobs = 1;
   std::size_t pipeline_depth = 0;
+  GovernedPipelineStats pipeline;
 
-  // Governed mode.
-  std::unique_ptr<GovernedStreamingDetector> gov;
+  // Governed mode (null when ungoverned).
+  std::unique_ptr<Governor> gov;
   std::shared_ptr<LiveCollector> live;  // non-null iff collecting for poll()
 
   // Ungoverned mode. Poisoning is handled here (the governor has its own):
   // the builder commits its tuple before mutating held-lock state, so after
   // a throw the store is consistent and finish() analyzes the prefix.
-  std::unique_ptr<StreamingDetector> stream;
+  DetectorOptions detector;
+  LockDependencyBuilder builder;
   bool poisoned = false;
   std::string poison_note;
-
-  GovernedPipelineStats pipeline;
 };
 
 Session::Session() : impl_(std::make_unique<Impl>()) {}
@@ -64,33 +61,20 @@ Session Session::open(const Config& config) {
   }
   if (!fatal.empty())
     throw std::invalid_argument("wolf::Session::open: " + fatal);
-  if (config.governed())
-    return open_governed(config.governor_options(), config.live);
-  const WolfOptions o = config.wolf_options();
-  return open_streaming(o.detector, o.jobs, config.pipeline_depth);
-}
 
-Session Session::open_streaming(const DetectorOptions& detector, int jobs,
-                                std::size_t pipeline_depth) {
   Session s;
-  s.impl_->governed = false;
-  s.impl_->jobs = jobs;
-  s.impl_->pipeline_depth = pipeline_depth;
-  s.impl_->stream = std::make_unique<StreamingDetector>(detector);
-  return s;
-}
-
-Session Session::open_governed(const GovernorOptions& options,
-                               bool collect_live) {
-  Session s;
-  s.impl_->governed = true;
-  s.impl_->jobs = options.jobs;
-  s.impl_->pipeline_depth = options.pipeline_depth;
-  GovernorOptions opts = options;
-  if (collect_live) {
+  Impl& impl = *s.impl_;
+  impl.jobs = config.jobs;
+  impl.pipeline_depth = config.pipeline_depth;
+  if (!config.governed()) {
+    impl.detector = config.wolf_options().detector;
+    return s;
+  }
+  GovernorOptions opts = config.governor_options();
+  if (config.live) {
     auto live = std::make_shared<LiveCollector>();
-    live->user = options.on_cycle;
-    s.impl_->live = live;
+    live->user = opts.on_cycle;
+    impl.live = live;
     // Collect a copy for poll(), then chain the push-mode subscriber. A
     // throwing user callback still propagates to the governor's containment
     // exactly as it would unwrapped, so verdicts are unchanged.
@@ -100,20 +84,20 @@ Session Session::open_governed(const GovernorOptions& options,
       if (live->user) live->user(lc);
     };
   }
-  s.impl_->gov = std::make_unique<GovernedStreamingDetector>(opts);
+  impl.gov = std::make_unique<Governor>(opts);
   return s;
 }
 
 bool Session::feed(const Event& e) {
   assert(!impl_->finished && "feed() after finish()");
   if (impl_->finished) return false;
-  if (impl_->governed) {
+  if (impl_->gov) {
     impl_->gov->add(e);
     return !impl_->gov->poisoned();
   }
   if (impl_->poisoned) return false;
   try {
-    impl_->stream->add(e);
+    impl_->builder.add(e);
   } catch (const std::exception& ex) {
     impl_->poisoned = true;
     impl_->poison_note = ex.what();
@@ -125,8 +109,7 @@ bool Session::feed(const Event& e) {
 bool Session::feed(const std::vector<Event>& events) {
   assert(!impl_->finished && "feed() after finish()");
   if (impl_->finished) return false;
-  if (impl_->governed) {
-    // Delegate whole blocks: identical to the historical add_block drain.
+  if (impl_->gov) {
     impl_->gov->add_block(events);
     return !impl_->gov->poisoned();
   }
@@ -168,43 +151,46 @@ std::vector<SessionCycle> Session::poll() {
   return out;
 }
 
-bool Session::governed() const { return impl_->governed; }
+bool Session::governed() const { return impl_->gov != nullptr; }
 
 bool Session::poisoned() const {
-  return impl_->governed ? impl_->gov->poisoned() : impl_->poisoned;
+  return impl_->gov ? impl_->gov->poisoned() : impl_->poisoned;
 }
 
 std::size_t Session::events_seen() const {
-  return impl_->governed ? impl_->gov->events_seen()
-                         : impl_->stream->events_seen();
+  return impl_->gov ? impl_->gov->events_seen()
+                    : impl_->builder.events_seen();
 }
 
 std::size_t Session::windows_closed() const {
-  return impl_->governed ? impl_->gov->windows().size() : 0;
+  return impl_->gov ? impl_->gov->windows().size() : 0;
 }
 
 DetectionLevel Session::level() const {
-  return impl_->governed ? impl_->gov->level() : DetectionLevel::kFullScc;
+  return impl_->gov ? impl_->gov->level() : DetectionLevel::kFullScc;
 }
 
 std::size_t Session::cycles_surfaced_live() const {
-  return impl_->governed ? impl_->gov->cycles_surfaced_live() : 0;
+  return impl_->gov ? impl_->gov->cycles_surfaced_live() : 0;
 }
 
 Session::Verdict Session::finish() {
   assert(!impl_->finished && "finish() called twice");
   Verdict v;
-  v.governed = impl_->governed;
+  v.governed = governed();
   v.pipeline = impl_->pipeline;
-  if (impl_->governed) {
+  if (impl_->gov) {
     v.detection = impl_->gov->finish();
     v.windows = impl_->gov->windows();
     v.governor = impl_->gov->verdict();
   } else {
-    // StreamingDetector::finish semantics preserved: a detection fault
-    // propagates (analyze_reader never swallowed one). Poisoned prefixes
-    // still finish — over the consistent prefix — with an honest verdict.
-    v.detection = impl_->stream->finish();
+    // A detection fault propagates, as it does from detect_reader. Poisoned
+    // prefixes still finish — over the consistent prefix — with an honest
+    // verdict.
+    LockDependency dep = impl_->builder.take_dependency();
+    v.detection = finish_detection(std::move(dep), impl_->builder.clocks(),
+                                   impl_->detector);
+    impl_->builder.clear();
     if (impl_->poisoned) {
       v.governor.coverage_complete = false;
       v.governor.notes.push_back(
@@ -214,21 +200,6 @@ Session::Verdict Session::finish() {
   }
   impl_->finished = true;
   return v;
-}
-
-// ---- deprecated shim (DESIGN.md §18) --------------------------------------
-
-GovernedDetection detect_reader_governed(TraceReader& reader,
-                                         const GovernorOptions& options) {
-  Session session = Session::open_governed(options);
-  session.ingest(reader);
-  Session::Verdict v = session.finish();
-  GovernedDetection out;
-  out.detection = std::move(v.detection);
-  out.windows = std::move(v.windows);
-  out.verdict = std::move(v.governor);
-  out.pipeline = v.pipeline;
-  return out;
 }
 
 }  // namespace wolf

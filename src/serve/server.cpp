@@ -577,6 +577,20 @@ bool Server::stop_requested() const {
   return impl_->stop_requested.load(std::memory_order_relaxed);
 }
 
+bool Server::wait_idle(std::chrono::milliseconds deadline) const {
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(impl_->mu);
+      if (std::none_of(impl_->entries.begin(), impl_->entries.end(),
+                       [](const auto& e) { return is_active(e->state); }))
+        return true;
+    }
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 const ServeOptions& Server::options() const { return impl_->options; }
 
 ServerStats Server::stats() const {

@@ -33,6 +33,7 @@
 // newline-JSON, one line per session plus a server roll-up.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -132,6 +133,14 @@ class Server {
   // True once a client sent the `stop` hello; the host loop (wolf serve)
   // polls this and calls stop().
   bool stop_requested() const;
+
+  // Quiescence wait: true once no registry entry is in kHandshake,
+  // kStreaming or kFinishing — every accepted connection's handler has
+  // recorded its end in stats(). False if that takes longer than
+  // `deadline`. A connection still queued in the listen backlog has no
+  // entry yet, so callers that know how many clients connected should
+  // first wait for stats().accepted to reach that count.
+  bool wait_idle(std::chrono::milliseconds deadline) const;
 
   const ServeOptions& options() const;
   ServerStats stats() const;

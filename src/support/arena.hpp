@@ -1,13 +1,13 @@
 // Bump-pointer arena for detector hot state (DESIGN.md §15).
 //
-// The cycle engines and the dependency index build large, same-lifetime
-// graphs out of many small arrays: per-node locksets, holder lists, DFS
-// chain stacks. Allocating each through the global heap costs an
-// allocation per node and scatters the arrays across the address space —
-// exactly the pattern the InnoDB deadlock checker avoids with its
-// preallocated stack. An Arena carves all of them out of a few large
-// chunks instead: allocation is a pointer bump, locality follows
-// construction order, and teardown is freeing a handful of chunks.
+// The dependency index builds large, same-lifetime structures out of many
+// small arrays: per-thread and per-(thread, lock) prefix sequences.
+// Allocating each through the global heap costs an allocation per key and
+// scatters the arrays across the address space — exactly the pattern the
+// InnoDB deadlock checker avoids with its preallocated stack. An Arena
+// carves all of them out of a few large chunks instead: allocation is a
+// pointer bump, locality follows construction order, and teardown is
+// freeing a handful of chunks.
 //
 // Rules:
 //   * only trivially-destructible element types (enforced at compile
@@ -15,9 +15,8 @@
 //   * alloc_array value-initializes (arrays come back zeroed);
 //   * pointers stay valid until reset() or destruction — the arena grows
 //     by adding chunks, never by moving old ones;
-//   * single-threaded: one arena per engine instance, confined to the
-//     thread that owns it (parallel DFS gives each worker its own
-//     scratch, see cycle_engine.cpp).
+//   * single-threaded while allocating: one arena per owner; what it hands
+//     out may be read concurrently once construction is done.
 #pragma once
 
 #include <cstddef>
@@ -109,20 +108,6 @@ class Arena {
   char* cur_end_ = nullptr;
   std::size_t allocated_ = 0;
   std::size_t reserved_ = 0;
-};
-
-// Offset+length view into an arena-allocated slab — the SoA replacement
-// for a std::vector member. Plain struct so it can itself live in arena
-// arrays.
-template <typename T>
-struct Slice {
-  const T* data = nullptr;
-  std::uint32_t size = 0;
-
-  const T* begin() const { return data; }
-  const T* end() const { return data + size; }
-  const T& operator[](std::size_t i) const { return data[i]; }
-  bool empty() const { return size == 0; }
 };
 
 }  // namespace wolf::support

@@ -62,9 +62,8 @@ class Flags {
 };
 
 // Defines the shared flag surface of every wolf subcommand, mirroring the
-// top-level scalars of wolf::Config: --seed, --jobs, --engine,
-// --deadline-ms, plus the observability flags --metrics-out,
-// --metrics-stable and --progress.
+// top-level scalars of wolf::Config: --seed, --jobs, --deadline-ms, plus
+// the observability flags --metrics-out, --metrics-stable and --progress.
 void register_common_flags(Flags& flags);
 
 }  // namespace wolf

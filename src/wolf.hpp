@@ -1,32 +1,21 @@
 // wolf.hpp — the single public entry point to the WOLF library.
 //
-// Library users include this header instead of the seven per-stage ones and
+// Library users include this header instead of the per-stage ones and
 // configure everything through wolf::Config: one struct with the shared
-// scalars every stage reads (seed, jobs, deadline) plus the historical
-// option structs nested as sections. validate() reports misconfigurations
-// before a run burns time on them; the *_options() exploders produce the
-// per-stage structs the pipeline entry points take, with the shared scalars
-// folded in (a shared scalar always wins over the section field it shadows,
-// so setting Config::jobs configures both enumeration and classification).
+// scalars every stage reads (seed, jobs, deadline) plus the per-stage option
+// structs nested as sections (Config::detector, ::replay, ::executor,
+// ::report). validate() reports misconfigurations before a run burns time
+// on them; the *_options() exploders produce the per-stage structs the
+// pipeline entry points take, with the shared scalars folded in (a shared
+// scalar always wins over the section field it shadows, so setting
+// Config::jobs configures both enumeration and classification).
 //
-// Migration from the per-stage structs (kept, with deprecation notes, for
-// one release — they remain the section types, so old field names work):
-//
-//   WolfOptions::seed            -> Config::seed
-//   WolfOptions::jobs            -> Config::jobs
-//   DetectorOptions::*           -> Config::detector.*
-//   DetectorOptions::jobs        -> Config::jobs
-//   ReplayOptions::*             -> Config::replay.*
-//   ReplayOptions::retry.attempt_deadline_ms -> Config::deadline_ms
-//   MultiRunOptions::runs        -> Config::runs
-//   rt::ExecutorOptions::*       -> Config::executor.*
-//   ReportWriterOptions::*       -> Config::report.*
-//   DfOptions::*                 -> df_options() (derived from the above)
-// Online analysis has exactly one public entry point: wolf::Session
-// (declared below). The four historical online names — StreamingDetector,
-// OnlineAnalysisSink, GovernedOnlineSink, detect_reader_governed — are
-// deprecated shims over it and will be removed one release after this one
-// (DESIGN.md §18).
+// Batch analysis is run()/analyze() below. Online analysis — feeding events
+// as they happen, from a trace file, a live program, or a serve client —
+// has exactly one entry point: wolf::Session::open(Config), then
+// feed/poll/finish (declared below). Config::governed() picks between the
+// unbounded batch-equivalent session and the windowed, budgeted one of
+// core/governor.hpp; both return the same Verdict.
 #pragma once
 
 #include <memory>
@@ -44,8 +33,8 @@ namespace wolf {
 
 // One finding from Config::validate(). Fatal issues make the configuration
 // unusable (an exploded run would crash or silently do nothing); non-fatal
-// ones flag conflicting settings where one silently wins (e.g. the
-// reference engine ignoring enumeration jobs).
+// ones flag conflicting settings where one silently wins (e.g. a
+// pipeline_depth that jobs=1 never uses).
 struct ConfigIssue {
   bool fatal = false;
   std::string message;
@@ -89,10 +78,6 @@ struct Config {
   // Per-window detection deadline in ms (0 = no deadline; the degradation
   // ladder never demotes).
   std::int64_t window_deadline_ms = 0;
-  // Incremental SCC maintenance for the governed path (DESIGN.md §16):
-  // windows enumerate only dirty-SCC tuple subsets. false = the historical
-  // recompute-per-suspicious-window path (differential reference).
-  bool incremental_scc = true;
   // Depth, in blocks, of the governed decode→ingest ring (DESIGN.md §17)
   // when jobs > 1 pipelines ingestion: the backpressure bound on how far
   // decode may run ahead of detection. 0 = auto (derived from jobs). Values
@@ -140,10 +125,8 @@ struct SessionCycle {
 
 // The one online-analysis entry point: open → feed → poll → finish.
 //
-// Session unifies the four historical online surfaces (StreamingDetector,
-// OnlineAnalysisSink, GovernedOnlineSink, detect_reader_governed — all now
-// deprecated shims over it) behind a single lifecycle the CLI, the serve
-// sidecar, the pipeline, and the tests all share:
+// The CLI, the serve sidecar, the pipeline and the tests all share this
+// lifecycle:
 //
 //   Session s = Session::open(config);          // throws on fatal config
 //   while (reader.next_block(block)) {
@@ -154,12 +137,12 @@ struct SessionCycle {
 //
 // open() dispatches on Config::governed(): a governed config gets the full
 // windowed/budgeted/laddered machinery of core/governor.hpp; an ungoverned
-// one gets the unbounded batch-equivalent StreamingDetector. Both modes
-// share the containment contract an always-on service needs: a malformed
-// event *poisons* the session (feed returns false, ingestion stops, the
-// verdict is honestly incomplete) instead of propagating out of feed, and
-// governed finish() never throws. Results are byte-identical to the
-// historical entry points at every jobs level.
+// one accumulates the unbounded D_σ and enumerates once in finish(), bit-
+// identical to detect_reader. Both modes share the containment contract an
+// always-on service needs: a malformed event *poisons* the session (feed
+// returns false, ingestion stops, the verdict is honestly incomplete)
+// instead of propagating out of feed, and governed finish() never throws.
+// Results are byte-identical at every jobs level.
 //
 // A Session is single-owner state, not a thread-safe object: feed, poll and
 // finish must be externally serialized (the serve sidecar gives each
@@ -185,12 +168,6 @@ class Session {
   // Config::governed(). Live cycles are collected for poll() iff
   // config.live; Config::on_cycle still fires push-mode either way.
   static Session open(const Config& config);
-  // Mode-explicit constructors for callers holding per-stage structs (the
-  // deprecated shims route through these so results stay byte-identical).
-  static Session open_streaming(const DetectorOptions& detector, int jobs = 1,
-                                std::size_t pipeline_depth = 0);
-  static Session open_governed(const GovernorOptions& options,
-                               bool collect_live = false);
 
   Session(Session&& other) noexcept;
   Session& operator=(Session&& other) noexcept;
@@ -215,8 +192,8 @@ class Session {
   void ingest(TraceReader& reader);
 
   // Cycles first sighted since the last poll(), in surfacing order. Always
-  // empty unless the session was opened with live collection (Config::live
-  // or collect_live). Cheap when empty.
+  // empty unless the session was opened with Config::live. Cheap when
+  // empty.
   std::vector<SessionCycle> poll();
 
   // Observation (valid any time).
@@ -231,8 +208,8 @@ class Session {
   // returns everything. Final: feed() after finish() is an error (asserts
   // in debug builds, no-op otherwise). Governed sessions never throw from
   // finish (a detection fault yields an honest incomplete verdict);
-  // ungoverned sessions preserve StreamingDetector::finish semantics and
-  // let a detection fault propagate.
+  // ungoverned sessions let a detection fault propagate, as detect_reader
+  // does.
   Verdict finish();
 
  private:

@@ -1,14 +1,15 @@
-// Differential tests of the cycle enumeration engines (DESIGN.md §12):
+// Differential tests of the cycle enumeration engine (DESIGN.md §12):
 //
 //   equivalence — the SCC engine (serial and parallel) emits the
-//                 bit-identical cycle sequence of the reference DFS, over
-//                 fixed workloads and randomized programs, with and without
-//                 magic_prune, and at the max_cycles cap;
+//                 bit-identical cycle sequence of the reference DFS oracle
+//                 (testutil.hpp), over fixed workloads and randomized
+//                 programs, with and without magic_prune, and at the
+//                 max_cycles cap;
 //   clock cut   — with clock_prune_during_search, the emitted cycles equal
 //                 the order-preserving subsequence of the full enumeration
 //                 that survives Algorithm 2's prune();
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
-//                 at every engine and jobs level.
+//                 at every jobs level and in the oracle.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -26,11 +27,9 @@
 namespace wolf {
 namespace {
 
-DetectorOptions options_for(CycleEngine engine, int jobs, bool magic,
-                            bool clock_prune = false,
+DetectorOptions options_for(int jobs, bool magic, bool clock_prune = false,
                             std::size_t max_cycles = 100000) {
   DetectorOptions options;
-  options.engine = engine;
   options.jobs = jobs;
   options.magic_prune = magic;
   options.clock_prune_during_search = clock_prune;
@@ -59,27 +58,18 @@ void expect_equivalent(const Detection& a, const Detection& b,
   }
 }
 
-// Runs reference vs scc vs arena-scc (each at jobs=1 and jobs=4) on one
+// Runs the reference oracle vs the scc engine (at jobs=1 and jobs=4) on one
 // trace and asserts bit-identity; returns the reference detection for
 // further checks.
 Detection check_engines_agree(const Trace& trace, bool magic,
                               std::size_t max_cycles = 100000) {
-  Detection ref = detect(
-      trace, options_for(CycleEngine::kReference, 1, magic, false, max_cycles));
-  Detection scc1 = detect(
-      trace, options_for(CycleEngine::kScc, 1, magic, false, max_cycles));
-  Detection scc4 = detect(
-      trace, options_for(CycleEngine::kScc, 4, magic, false, max_cycles));
-  Detection arena1 = detect(
-      trace, options_for(CycleEngine::kArenaScc, 1, magic, false, max_cycles));
-  Detection arena4 = detect(
-      trace, options_for(CycleEngine::kArenaScc, 4, magic, false, max_cycles));
+  Detection ref =
+      test::detect_reference(trace, options_for(1, magic, false, max_cycles));
+  Detection scc1 = detect(trace, options_for(1, magic, false, max_cycles));
+  Detection scc4 = detect(trace, options_for(4, magic, false, max_cycles));
   expect_equivalent(ref, scc1, "reference vs scc jobs=1");
   expect_equivalent(ref, scc4, "reference vs scc jobs=4");
   expect_equivalent(scc1, scc4, "scc jobs=1 vs jobs=4");
-  expect_equivalent(ref, arena1, "reference vs arena jobs=1");
-  expect_equivalent(scc1, arena1, "scc vs arena jobs=1");
-  expect_equivalent(arena1, arena4, "arena jobs=1 vs jobs=4");
   return ref;
 }
 
@@ -118,8 +108,7 @@ TEST(CycleEngineTest, EnginesAgreeOnPhilosophersRing) {
 TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
   Trace trace = record_workload("HashMap");
   ASSERT_FALSE(trace.empty());
-  Detection full =
-      detect(trace, options_for(CycleEngine::kReference, 1, false));
+  Detection full = test::detect_reference(trace, options_for(1, false));
   ASSERT_GE(full.cycles.size(), 2u) << "workload too small for a cap test";
 
   for (std::size_t cap = 1; cap <= full.cycles.size(); ++cap) {
@@ -135,26 +124,22 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
 }
 
 // With the in-search clock cut, the emitted cycles must be exactly the
-// order-preserving subsequence of the full enumeration that prune() keeps —
-// for the scc engine and its arena twin alike.
+// order-preserving subsequence of the full enumeration that prune() keeps.
 void check_clock_prune(const Trace& trace, bool magic) {
-  Detection full =
-      detect(trace, options_for(CycleEngine::kScc, 1, magic));
+  Detection full = detect(trace, options_for(1, magic));
   const std::vector<PruneVerdict> verdicts = prune(full);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < full.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(full.cycles[i]);
 
-  for (CycleEngine engine : {CycleEngine::kScc, CycleEngine::kArenaScc}) {
-    for (int jobs : {1, 4}) {
-      SCOPED_TRACE(jobs);
-      Detection cut = detect(
-          trace, options_for(engine, jobs, magic, /*clock_prune=*/true));
-      expect_same_cycles(survivors, cut.cycles,
-                         "prune() survivors vs clock cut");
-      // Everything emitted under the cut survives a batch prune.
-      for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
-    }
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    Detection cut =
+        detect(trace, options_for(jobs, magic, /*clock_prune=*/true));
+    expect_same_cycles(survivors, cut.cycles,
+                       "prune() survivors vs clock cut");
+    // Everything emitted under the cut survives a batch prune.
+    for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
   }
 }
 
@@ -173,20 +158,17 @@ TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
   // SCCs are trivial, and the scc engine must do (and emit) nothing.
   LockDependency dep;
   DetectorOptions options;
-  EnumerationResult empty = enumerate_cycles_scc(dep, options);
+  EnumerationResult empty = enumerate_cycles_ex(dep, options);
   EXPECT_TRUE(empty.cycles.empty());
   EXPECT_FALSE(empty.truncated);
-  EnumerationResult empty_arena = enumerate_cycles_arena_scc(dep, options);
-  EXPECT_TRUE(empty_arena.cycles.empty());
-  EXPECT_FALSE(empty_arena.truncated);
 
   Trace trace = record_workload("LinkedList");
   if (!trace.empty()) check_engines_agree(trace, /*magic=*/false);
 }
 
 // Randomized differential test: random programs with varying shape, fork/join
-// structure and lock nesting; every engine/jobs/magic combination must agree,
-// and the clock cut must match the batch pruner.
+// structure and lock nesting; every jobs/magic combination must agree with
+// the oracle, and the clock cut must match the batch pruner.
 class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
@@ -209,7 +191,7 @@ TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
   check_engines_agree(*trace, /*magic=*/true);
   check_clock_prune(*trace, /*magic=*/false);
 
-  // Re-run capped at half the cycles: truncation must stay engine-invariant.
+  // Re-run capped at half the cycles: truncation must match the oracle.
   if (ref.cycles.size() >= 2)
     check_engines_agree(*trace, /*magic=*/false, ref.cycles.size() / 2);
 }

@@ -6,9 +6,10 @@
 //     cycle, the lock graph is suspicious (differentially, over random
 //     programs); the refinements (single-thread SCCs, common guard locks)
 //     only discharge windows that provably contain no cycle;
-//   * governed ≡ ungoverned — with no budget, no deadline and no faults,
-//     the governed detector's final Detection matches StreamingDetector's
-//     bit for bit, at every window size;
+//   * governed ≡ batch — with no budget, no deadline and no faults, the
+//     governed detector's final Detection matches batch detect()'s bit for
+//     bit, at every window size, and every cycle batch finds was surfaced
+//     live before finish();
 //   * honesty — eviction flips coverage_complete and marks the window
 //     kShedding; a per-window detection fault degrades only that window
 //     (finish() re-enumerates, coverage stays complete); a fault in the
@@ -125,17 +126,6 @@ TEST(PrefilterTest, SingleThreadCycleIsNotSuspicious) {
   EXPECT_FALSE(graph_of(trace).suspicious());
 }
 
-TEST(PrefilterTest, GenerationAdvancesOnlyOnVerdictRelevantChanges) {
-  LockGraph g;
-  LockDependency dep = LockDependency::from_trace(ab_ba_trace(false));
-  for (const LockTuple& t : dep.tuples) g.on_tuple(t);
-  const std::uint64_t gen = g.generation();
-  // Re-feeding identical tuples adds no edge, widens no thread set and
-  // narrows no guard mask — the generation must not move.
-  for (const LockTuple& t : dep.tuples) g.on_tuple(t);
-  EXPECT_EQ(g.generation(), gen);
-}
-
 TEST(PrefilterTest, LocksetMaskCoversFourWordsAndDropsTheRest) {
   GuardMask low = lockset_mask({0, 3});
   EXPECT_EQ(low.w[0], (1ULL << 0) | (1ULL << 3));
@@ -222,15 +212,13 @@ TEST(GovernorTest, UngovernedMatchesStreamingDetectorBitForBit) {
   auto trace = sim::record_trace(program, 5, 40);
   ASSERT_TRUE(trace.has_value());
 
-  StreamingDetector plain;
-  for (const Event& e : trace->events) plain.add(e);
-  Detection expected = plain.finish();
+  Detection expected = detect(*trace);
 
   for (std::size_t window : {std::size_t{8}, std::size_t{1000},
                              std::size_t{1} << 20}) {
     GovernorOptions options;
     options.window_events = window;
-    GovernedStreamingDetector governed(options);
+    Governor governed(options);
     for (const Event& e : trace->events) governed.add(e);
     Detection got = governed.finish();
 
@@ -253,7 +241,7 @@ TEST(GovernorTest, SuspiciousWindowsSurfaceCyclesBeforeFinish) {
   Trace trace = ab_ba_trace(false);
   GovernorOptions options;
   options.window_events = 4;  // boundaries inside and after the pattern
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
   Detection det = governed.finish();
   ASSERT_FALSE(det.cycles.empty());
@@ -319,7 +307,7 @@ TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
   GovernorOptions options;
   options.memory_budget_mb = 1;
   options.window_events = 4096;
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
   (void)governed.finish();
 
@@ -376,18 +364,18 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   std::string baseline_summary;
   std::set<DefectSignature> baseline_sigs;
   for (int jobs : {1, 4}) {
-    GovernorOptions options;
-    options.memory_budget_mb = 1;
-    options.window_events = 4096;
-    options.jobs = jobs;
-    options.pipeline_depth = 2;  // a tight ring maximizes backpressure
-    Session session = Session::open_governed(options);
+    Config config;
+    config.memory_budget_mb = 1;
+    config.window_events = 4096;
+    config.jobs = jobs;
+    config.pipeline_depth = 2;  // a tight ring maximizes backpressure
+    Session session = Session::open(config);
     VectorTraceReader reader(trace);
     session.ingest(reader);
     Session::Verdict v = session.finish();
 
     for (const WindowReport& w : v.windows)
-      EXPECT_LE(w.store_bytes, options.memory_budget_mb << 20)
+      EXPECT_LE(w.store_bytes, config.memory_budget_mb << 20)
           << "jobs " << jobs << " window " << w.index;
     EXPECT_GT(v.governor.tuples_evicted, 0u) << "budget never engaged";
     if (jobs > 1) {
@@ -415,7 +403,7 @@ TEST(GovernorTest, PerWindowDetectionFaultIsContained) {
   GovernorOptions options;
   options.window_events = 4;
   options.fault = &fault;
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
   Detection det = governed.finish();
 
@@ -434,7 +422,7 @@ TEST(GovernorTest, FinalEnumerationFaultIsIncompleteNotClean) {
   Trace trace = ab_ba_trace(false);
   GovernorOptions options;
   options.detector.jobs = 2;  // engage the pool so the task fault fires
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
 
   ThreadPool::inject_task_fault(0);
@@ -575,10 +563,13 @@ TEST(PrefilterTest, ExpiryToZeroRefcountRemovesTheEdgeAndVerdict) {
   EXPECT_EQ(g.suspicious_scc_count(), 0u);
 }
 
-TEST(GovernorTest, IncrementalAndRecomputePathsAgreeBitForBit) {
-  // Same stream, both enumeration modes, across window sizes and with a
-  // budget tight enough to force compaction + eviction churn: the final
-  // Detection and the honesty bookkeeping must be identical.
+TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
+  // The governed run against its oracle, batch detect() over the same
+  // stream, across window sizes and with a budget tight enough to force
+  // compaction + eviction churn: complete coverage means the final cycles
+  // ARE batch's (same tuple_idx sequence), a run that evicted nothing
+  // surfaced every batch signature live before finish(), and the honesty
+  // bookkeeping is identical at every jobs level.
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -593,34 +584,44 @@ TEST(GovernorTest, IncrementalAndRecomputePathsAgreeBitForBit) {
         trace.events.push_back(e);
   }
   for (Event& e : trace.events) e.seq = seq++;
+  const Detection batch = detect(trace);
+  ASSERT_FALSE(batch.cycles.empty());
 
   for (std::size_t window : {std::size_t{16}, std::size_t{256}}) {
     for (std::size_t budget_mb : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "window " << window << " budget " << budget_mb);
       GovernorOptions options;
       options.window_events = window;
       options.memory_budget_mb = budget_mb;
+      std::set<DefectSignature> live;
+      options.on_cycle = [&live](const LiveCycle& lc) {
+        live.insert(signature_of(*lc.cycle, *lc.dep));
+      };
+      Governor governed(options);
+      for (const Event& e : trace.events) governed.add(e);
+      Detection det = governed.finish();
+      const GovernorVerdict verdict = governed.verdict();
 
-      options.incremental_scc = true;
-      GovernedStreamingDetector inc(options);
-      for (const Event& e : trace.events) inc.add(e);
-      Detection inc_det = inc.finish();
+      if (verdict.coverage_complete) {
+        ASSERT_EQ(det.cycles.size(), batch.cycles.size());
+        for (std::size_t i = 0; i < det.cycles.size(); ++i)
+          EXPECT_EQ(det.cycles[i].tuple_idx, batch.cycles[i].tuple_idx);
+      }
+      if (verdict.tuples_evicted == 0) {
+        EXPECT_EQ(live, signatures_of(batch));
+      }
 
-      options.incremental_scc = false;
-      GovernedStreamingDetector rec(options);
-      for (const Event& e : trace.events) rec.add(e);
-      Detection rec_det = rec.finish();
-
-      EXPECT_EQ(signatures_of(inc_det), signatures_of(rec_det))
-          << "window " << window << " budget " << budget_mb;
-      EXPECT_EQ(inc_det.cycles.size(), rec_det.cycles.size());
-      for (std::size_t i = 0;
-           i < std::min(inc_det.cycles.size(), rec_det.cycles.size()); ++i)
-        EXPECT_EQ(inc_det.cycles[i].tuple_idx, rec_det.cycles[i].tuple_idx);
-      EXPECT_EQ(inc.verdict().coverage_complete,
-                rec.verdict().coverage_complete);
-      EXPECT_EQ(inc.verdict().tuples_evicted, rec.verdict().tuples_evicted);
-      EXPECT_EQ(inc.verdict().tuples_compacted,
-                rec.verdict().tuples_compacted);
+      options.on_cycle = nullptr;
+      options.jobs = 4;
+      Governor parallel(options);
+      for (const Event& e : trace.events) parallel.add(e);
+      (void)parallel.finish();
+      EXPECT_EQ(parallel.verdict().coverage_complete,
+                verdict.coverage_complete);
+      EXPECT_EQ(parallel.verdict().tuples_evicted, verdict.tuples_evicted);
+      EXPECT_EQ(parallel.verdict().tuples_compacted,
+                verdict.tuples_compacted);
     }
   }
 }
@@ -638,7 +639,7 @@ std::string run_governed_fingerprint(const Trace& trace,
     live << "w" << lc.window << " #" << lc.sequence << ' '
          << lc.cycle->to_string(*lc.dep) << '\n';
   };
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
   Detection det = governed.finish();
 
@@ -709,6 +710,8 @@ TEST(GovernorTest, JobsInvarianceAcrossWindowSizesAndBudgets) {
 }
 
 TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
+  // Session::ingest at jobs > 1 decodes through the bounded ring; the
+  // governed verdict must not notice.
   Trace trace;
   std::uint64_t seq = 0;
   for (int rep = 0; rep < 100; ++rep)
@@ -716,26 +719,31 @@ TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
       trace.events.push_back(e);
   for (Event& e : trace.events) e.seq = seq++;
 
-  GovernorOptions options;
-  options.window_events = 64;
-  options.jobs = 1;
+  Config config;
+  config.window_events = 64;
+  config.live = true;  // governed, with no budget or deadline to bite
+  config.jobs = 1;
+  Session serial_session = Session::open(config);
   VectorTraceReader serial_reader(trace);
-  GovernedDetection serial = detect_reader_governed(serial_reader, options);
+  serial_session.ingest(serial_reader);
+  const Session::Verdict serial = serial_session.finish();
   EXPECT_FALSE(serial.pipeline.used);
   ASSERT_FALSE(serial.detection.cycles.empty());
 
   for (int jobs : {2, 4}) {
-    options.jobs = jobs;
+    config.jobs = jobs;
+    Session session = Session::open(config);
     VectorTraceReader reader(trace);
-    GovernedDetection piped = detect_reader_governed(reader, options);
+    session.ingest(reader);
+    const Session::Verdict piped = session.finish();
     EXPECT_TRUE(piped.pipeline.used) << jobs;
     ASSERT_EQ(piped.detection.cycles.size(), serial.detection.cycles.size());
     for (std::size_t i = 0; i < piped.detection.cycles.size(); ++i)
       EXPECT_EQ(piped.detection.cycles[i].tuple_idx,
                 serial.detection.cycles[i].tuple_idx);
-    EXPECT_EQ(piped.verdict.coverage_complete,
-              serial.verdict.coverage_complete);
-    EXPECT_EQ(piped.verdict.final_level, serial.verdict.final_level);
+    EXPECT_EQ(piped.governor.coverage_complete,
+              serial.governor.coverage_complete);
+    EXPECT_EQ(piped.governor.final_level, serial.governor.final_level);
     ASSERT_EQ(piped.windows.size(), serial.windows.size());
     for (std::size_t i = 0; i < piped.windows.size(); ++i) {
       EXPECT_EQ(piped.windows[i].events, serial.windows[i].events) << i;
@@ -748,53 +756,52 @@ TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
 }
 
 TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
-  for (const bool incremental : {true, false}) {
-    Trace trace = ab_ba_trace(false);
-    GovernorOptions options;
-    options.window_events = 4;
-    options.incremental_scc = incremental;
+  Trace trace = ab_ba_trace(false);
+  GovernorOptions options;
+  options.window_events = 4;
 
-    struct Sighting {
-      std::size_t window;
-      std::size_t sequence;
-      DefectSignature signature;
-    };
-    std::vector<Sighting> sightings;
-    bool finished = false;
-    options.on_cycle = [&](const LiveCycle& lc) {
-      EXPECT_FALSE(finished) << "LiveCycle delivered after finish()";
-      sightings.push_back(
-          {lc.window, lc.sequence, signature_of(*lc.cycle, *lc.dep)});
-    };
-    GovernedStreamingDetector subscribed(options);
-    for (const Event& e : trace.events) subscribed.add(e);
-    Detection sub_det = subscribed.finish();
-    finished = true;
+  struct Sighting {
+    std::size_t window;
+    std::size_t sequence;
+    DefectSignature signature;
+  };
+  std::vector<Sighting> sightings;
+  bool finished = false;
+  options.on_cycle = [&](const LiveCycle& lc) {
+    EXPECT_FALSE(finished) << "LiveCycle delivered after finish()";
+    sightings.push_back(
+        {lc.window, lc.sequence, signature_of(*lc.cycle, *lc.dep)});
+  };
+  Governor subscribed(options);
+  for (const Event& e : trace.events) subscribed.add(e);
+  Detection sub_det = subscribed.finish();
+  finished = true;
 
-    options.on_cycle = nullptr;
-    GovernedStreamingDetector plain(options);
-    for (const Event& e : trace.events) plain.add(e);
-    Detection plain_det = plain.finish();
+  options.on_cycle = nullptr;
+  Governor plain(options);
+  for (const Event& e : trace.events) plain.add(e);
+  Detection plain_det = plain.finish();
 
-    // Every committed cycle was surfaced mid-run, in sequence order.
-    ASSERT_FALSE(sub_det.cycles.empty());
-    ASSERT_EQ(sightings.size(), sub_det.cycles.size()) << incremental;
-    EXPECT_EQ(subscribed.cycles_surfaced_live(), sightings.size());
-    std::set<DefectSignature> surfaced;
-    for (std::size_t i = 0; i < sightings.size(); ++i) {
-      EXPECT_EQ(sightings[i].sequence, i + 1);
-      surfaced.insert(sightings[i].signature);
-    }
-    EXPECT_EQ(surfaced, signatures_of(sub_det));
-
-    // Subscription is observation-only: finish() is identical.
-    EXPECT_EQ(sub_det.cycles.size(), plain_det.cycles.size());
-    for (std::size_t i = 0; i < sub_det.cycles.size(); ++i)
-      EXPECT_EQ(sub_det.cycles[i].tuple_idx, plain_det.cycles[i].tuple_idx);
-    EXPECT_EQ(signatures_of(sub_det), signatures_of(plain_det));
-    EXPECT_EQ(subscribed.verdict().coverage_complete,
-              plain.verdict().coverage_complete);
+  // Every committed cycle was surfaced mid-run, in sequence order, and the
+  // surfaced set is exactly what batch detection finds.
+  ASSERT_FALSE(sub_det.cycles.empty());
+  ASSERT_EQ(sightings.size(), sub_det.cycles.size());
+  EXPECT_EQ(subscribed.cycles_surfaced_live(), sightings.size());
+  std::set<DefectSignature> surfaced;
+  for (std::size_t i = 0; i < sightings.size(); ++i) {
+    EXPECT_EQ(sightings[i].sequence, i + 1);
+    surfaced.insert(sightings[i].signature);
   }
+  EXPECT_EQ(surfaced, signatures_of(sub_det));
+  EXPECT_EQ(surfaced, signatures_of(detect(trace)));
+
+  // Subscription is observation-only: finish() is identical.
+  EXPECT_EQ(sub_det.cycles.size(), plain_det.cycles.size());
+  for (std::size_t i = 0; i < sub_det.cycles.size(); ++i)
+    EXPECT_EQ(sub_det.cycles[i].tuple_idx, plain_det.cycles[i].tuple_idx);
+  EXPECT_EQ(signatures_of(sub_det), signatures_of(plain_det));
+  EXPECT_EQ(subscribed.verdict().coverage_complete,
+            plain.verdict().coverage_complete);
 }
 
 TEST(GovernorTest, ThrowingSubscriberIsContainedAsAWindowFault) {
@@ -804,7 +811,7 @@ TEST(GovernorTest, ThrowingSubscriberIsContainedAsAWindowFault) {
   options.on_cycle = [](const LiveCycle&) {
     throw std::runtime_error("subscriber exploded");
   };
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
   Detection det = governed.finish();
 
@@ -894,12 +901,12 @@ TEST(LadderTest, DeadlinePressureDemotesARealRun) {
   GovernorOptions options;
   options.window_events = 64;
   options.window_deadline_ms = 0;  // ungoverned reference
-  GovernedStreamingDetector reference(options);
+  Governor reference(options);
   for (const Event& e : trace.events) reference.add(e);
   Detection expected = reference.finish();
 
   options.window_deadline_ms = 1;
-  GovernedStreamingDetector governed(options);
+  Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
   Detection got = governed.finish();
 
@@ -915,15 +922,17 @@ TEST(GovernorTest, GovernedPipelineOnPaperWorkload) {
   auto trace = sim::record_trace(example.program, 3, 40);
   ASSERT_TRUE(trace.has_value());
 
-  WolfOptions options;
-  options.jobs = 1;
-  options.replay.attempts = 4;
-  GovernorOptions governor;
-  governor.window_events = 16;
+  Config config;
+  config.jobs = 1;
+  config.replay.attempts = 4;
+  config.window_events = 16;
+  config.live = true;  // governed, with no budget or deadline to bite
+  const WolfOptions options = config.wolf_options();
 
   VectorTraceReader reader(*trace);
+  Session session = Session::open(config);
   WolfReport report =
-      analyze_reader_governed(example.program, reader, options, governor);
+      analyze_session(example.program, session, reader, options);
   EXPECT_TRUE(report.governed);
   EXPECT_GT(report.governor.windows, 0u);
   EXPECT_TRUE(report.governor.coverage_complete);

@@ -5,9 +5,9 @@
 #include <map>
 
 #include "core/lock_dependency.hpp"
-#include "core/online_sink.hpp"
 #include "sim/scheduler.hpp"
 #include "support/check.hpp"
+#include "wolf.hpp"
 #include "workloads/paper_examples.hpp"
 
 namespace wolf {
@@ -167,16 +167,17 @@ TEST(LockDependencyTest, TimestampsComeFromClockTracker) {
 }
 
 TEST(LockDependencyTest, OnlineSinkMatchesOfflineBuilder) {
-  // The online instrumentation bookkeeping must agree exactly with the
-  // offline reconstruction, on a real recorded workload.
+  // The online bookkeeping — a wolf::Session fed event by event, as a
+  // substrate's trace sink would — must agree exactly with the offline
+  // reconstruction, on a real recorded workload.
   auto fig = workloads::make_figure4();
   auto trace = sim::record_trace(fig.program, 5);
   ASSERT_TRUE(trace.has_value());
 
   LockDependency offline = LockDependency::from_trace(*trace);
-  OnlineAnalysisSink sink;
-  for (const Event& e : trace->events) sink.on_event(e);
-  LockDependency online = sink.take_dependency();
+  Session session = Session::open(Config{});
+  for (const Event& e : trace->events) ASSERT_TRUE(session.feed(e));
+  LockDependency online = session.finish().detection.dep;
 
   ASSERT_EQ(online.tuples.size(), offline.tuples.size());
   for (std::size_t i = 0; i < online.tuples.size(); ++i) {

@@ -331,15 +331,6 @@ TEST(ConfigTest, DefaultConfigValidatesClean) {
   EXPECT_FALSE(config.fatal());
 }
 
-TEST(ConfigTest, ReferenceEngineWithJobsIsANonFatalConflict) {
-  Config config;
-  config.detector.engine = CycleEngine::kReference;
-  config.jobs = 4;
-  auto issues = config.validate();
-  ASSERT_FALSE(issues.empty());
-  EXPECT_FALSE(config.fatal()) << "conflicts warn, they do not reject";
-}
-
 TEST(ConfigTest, NonsenseValuesAreFatal) {
   Config config;
   config.jobs = -1;

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,13 +227,14 @@ TEST(ServeProtocolTest, VerdictLineRoundTripsThroughParser) {
 // ---- Session facade unit tests --------------------------------------------
 
 TEST(ServeSessionTest, PollCollectsTheSameCyclesThePushSubscriberSees) {
-  GovernorOptions opts;
-  opts.window_events = 8;
+  Config cfg;
+  cfg.window_events = 8;
+  cfg.live = true;
   std::vector<std::string> pushed;
-  opts.on_cycle = [&](const LiveCycle& lc) {
+  cfg.on_cycle = [&](const LiveCycle& lc) {
     pushed.push_back(lc.cycle->to_string(*lc.dep));
   };
-  Session session = Session::open_governed(opts, /*collect_live=*/true);
+  Session session = Session::open(cfg);
   std::vector<std::string> polled;
   for (const Event& e : hashmap_trace().events) {
     session.feed(e);
@@ -324,6 +326,16 @@ TEST(ServeServerTest, VanishedClientNeverPoisonsAConcurrentSession) {
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.verdict_line, chomp(ref.verdict));
   EXPECT_TRUE(ts.server.running());
+  // Both clients have connected, but the vanished one's handler may still be
+  // queued for accept or mid-teardown: wait until the server has accepted
+  // both and every handler has recorded its end before reading the tallies.
+  const auto accept_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ts.server.stats().accepted < 2 &&
+         std::chrono::steady_clock::now() < accept_deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_GE(ts.server.stats().accepted, 2u);
+  ASSERT_TRUE(ts.server.wait_idle(std::chrono::seconds(30)));
   const ServerStats stats = ts.server.stats();
   EXPECT_EQ(stats.sessions_done, 1u);
   EXPECT_EQ(stats.sessions_torn, 1u);
@@ -460,25 +472,42 @@ TEST(ServeServerTest, GarbageHelloGetsErrorLineAndServerKeepsServing) {
   TestServer ts(ServeOptions{});
   ASSERT_TRUE(ts.started);
 
-  std::string error;
-  Fd fd = unix_connect(ts.path(), &error);
-  ASSERT_TRUE(fd.valid()) << error;
-  ASSERT_TRUE(write_all(fd.get(), std::string("GET / HTTP/1.1\n")));
-  shutdown_write(fd.get());
-  FdInBuf buf(fd.get());
-  std::istream is(&buf);
-  std::string line;
-  bool saw_error = false;
-  while (std::getline(is, line))
-    if (line_type(line) == "error") saw_error = true;
-  EXPECT_TRUE(saw_error);
+  // Each bad hello gets an error line naming what is wrong: a non-protocol
+  // line, and a session parameter the server does not know.
+  const std::pair<std::string, std::string> bad_hellos[] = {
+      {"GET / HTTP/1.1\n", "expected a"},
+      {"WOLFSERVE/1 session name=a incremental=1\n",
+       "unknown session parameter 'incremental'"},
+  };
+  for (const auto& [hello, expected] : bad_hellos) {
+    SCOPED_TRACE(hello);
+    std::string error;
+    Fd fd = unix_connect(ts.path(), &error);
+    ASSERT_TRUE(fd.valid()) << error;
+    ASSERT_TRUE(write_all(fd.get(), hello));
+    shutdown_write(fd.get());
+    FdInBuf buf(fd.get());
+    std::istream is(&buf);
+    std::string line;
+    std::string message;
+    bool saw_error = false;
+    while (std::getline(is, line))
+      if (line_type(line) == "error")
+        saw_error = parse_error_line(line, message);
+    EXPECT_TRUE(saw_error);
+    EXPECT_NE(message.find(expected), std::string::npos) << message;
+  }
 
-  // The next, well-formed client is unaffected.
+  // The next, well-formed client is unaffected, and its hello reply echoes
+  // only parameters the server knows.
   EmitOptions emit;
   emit.socket_path = ts.path();
   EmitResult r = emit_trace_bytes(emit, hashmap_bytes());
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_TRUE(r.complete);
+  EXPECT_EQ(line_type(r.hello_reply), "hello") << r.hello_reply;
+  EXPECT_EQ(r.hello_reply.find("incremental"), std::string::npos)
+      << r.hello_reply;
 }
 
 TEST(ServeServerTest, GarbageStreamYieldsTornVerdictNotACrash) {

@@ -1,6 +1,10 @@
 #include "testutil.hpp"
 
 #include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "core/magic_prune.hpp"
 
 namespace wolf::test {
 
@@ -89,6 +93,126 @@ std::vector<SiteId> deadlock_signature(const sim::RunResult& result) {
     sig.push_back(b.index.site);
   std::sort(sig.begin(), sig.end());
   return sig;
+}
+
+namespace {
+
+// Reference enumerator state:
+//   * holders_of_ — lock ℓ → canonical tuples holding ℓ in their lockset, in
+//     dep.unique order;
+//   * chain_threads_/chain_locks_ — running thread set and lockset union of
+//     the current chain, so the pairwise-disjointness test is O(|lockset|)
+//     per candidate.
+class ReferenceEnumerator {
+ public:
+  ReferenceEnumerator(const LockDependency& dep, const DetectorOptions& options)
+      : dep_(dep), options_(options) {
+    for (std::size_t u : dep_.unique)
+      for (LockId l : dep_.tuples[u].lockset) holders_of_[l].push_back(u);
+  }
+
+  std::vector<PotentialDeadlock> run() {
+    for (std::size_t u : dep_.unique) {
+      if (exhausted()) break;
+      push_member(u);
+      extend();
+      pop_member(u);
+    }
+    return std::move(cycles_);
+  }
+
+ private:
+  bool exhausted() const { return cycles_.size() >= options_.max_cycles; }
+
+  void push_member(std::size_t idx) {
+    chain_.push_back(idx);
+    const LockTuple& tuple = dep_.tuples[idx];
+    chain_threads_.push_back(tuple.thread);
+    for (LockId l : tuple.lockset) chain_locks_.insert(l);
+  }
+
+  void pop_member(std::size_t idx) {
+    const LockTuple& tuple = dep_.tuples[idx];
+    for (LockId l : tuple.lockset) chain_locks_.erase(l);
+    chain_threads_.pop_back();
+    chain_.pop_back();
+  }
+
+  // True when `candidate` can legally extend the current chain: distinct
+  // thread and pairwise-disjoint lockset with every chain member.
+  bool compatible(const LockTuple& candidate) const {
+    for (ThreadId t : chain_threads_)
+      if (t == candidate.thread) return false;
+    for (LockId l : candidate.lockset)
+      if (chain_locks_.count(l) != 0) return false;
+    return true;
+  }
+
+  void extend() {
+    if (exhausted()) return;
+    const LockTuple& first = dep_.tuples[chain_.front()];
+    const LockTuple& last = dep_.tuples[chain_.back()];
+
+    // Close the cycle? Requires length >= 2 and lock(last) ∈ lockset(first).
+    if (chain_.size() >= 2 && first.holds(last.lock)) {
+      PotentialDeadlock cycle;
+      cycle.tuple_idx = chain_;
+      cycles_.push_back(std::move(cycle));
+    }
+    if (static_cast<int>(chain_.size()) >= options_.max_cycle_length) return;
+
+    auto holders = holders_of_.find(last.lock);
+    if (holders == holders_of_.end()) return;
+    for (std::size_t u : holders->second) {
+      if (exhausted()) return;
+      const LockTuple& next = dep_.tuples[u];
+      // Canonical rotation: the first tuple's thread is the cycle minimum.
+      if (next.thread <= first.thread) continue;
+      if (!compatible(next)) continue;
+      push_member(u);
+      extend();
+      pop_member(u);
+    }
+  }
+
+  const LockDependency& dep_;
+  const DetectorOptions& options_;
+  std::unordered_map<LockId, std::vector<std::size_t>> holders_of_;
+  std::vector<std::size_t> chain_;
+  std::vector<ThreadId> chain_threads_;
+  std::unordered_set<LockId> chain_locks_;
+  std::vector<PotentialDeadlock> cycles_;
+};
+
+}  // namespace
+
+EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
+                                             const DetectorOptions& options) {
+  EnumerationResult result;
+  result.cycles = ReferenceEnumerator(dep, options).run();
+  result.truncated = result.cycles.size() >= options.max_cycles;
+  return result;
+}
+
+Detection detect_reference(const Trace& trace, const DetectorOptions& options) {
+  LockDependencyBuilder builder;
+  for (const Event& e : trace.events) builder.add(e);
+  Detection det;
+  det.dep = builder.take_dependency();
+  det.clocks = builder.clocks();
+  EnumerationResult res;
+  if (options.magic_prune) {
+    LockDependency reduced = det.dep;
+    reduced.unique = magic_prune(det.dep);
+    res = enumerate_cycles_reference(reduced, options);
+  } else {
+    res = enumerate_cycles_reference(det.dep, options);
+  }
+  det.cycles = std::move(res.cycles);
+  det.truncated = res.truncated;
+  det.cycle_cap = res.truncated ? options.max_cycles : 0;
+  det.defects = group_defects(det.cycles, det.dep);
+  return det;
 }
 
 }  // namespace wolf::test

@@ -3,12 +3,15 @@
 // is well nested, control flow is branch-free (so a completed trace covers
 // every operation — the premise under which the detector is complete), and
 // every operation gets a unique source site (so deadlock signatures identify
-// operations exactly).
+// operations exactly). Also home to the reference cycle enumerator, the
+// oracle the production engine (core/cycle_engine.hpp) is checked against.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/cycle_engine.hpp"
+#include "core/detector.hpp"
 #include "sim/program.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
@@ -33,5 +36,17 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config = {});
 
 // Sorted site multiset of a run's deadlock cycle.
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
+
+// The original iGoodLock-style DFS over every canonical tuple — the
+// executable specification of the canonical cycle order (detector.hpp) that
+// enumerate_cycles_ex must reproduce bit for bit. Serial and unpruned:
+// options.jobs and options.clock_prune_during_search are ignored.
+EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
+                                             const DetectorOptions& options);
+
+// detect() with the reference enumerator in place of the production engine:
+// the same D_σ and clocks, the same magic_prune reduction, the same defect
+// grouping.
+Detection detect_reference(const Trace& trace, const DetectorOptions& options);
 
 }  // namespace wolf::test

@@ -8,8 +8,9 @@
 //   * Detection is bit-identical whether the trace is consumed in memory
 //     (detect), streamed from v2 text, or streamed from v3 binary
 //     (detect_reader) — the acceptance bar for the streaming refactor.
-//   * analyze_reader produces the same classification-level report as
-//     analyze_trace.
+//   * An ungoverned wolf::Session, fed event by event or drained through
+//     analyze_session, produces the same detection and the same
+//     classification-level report as the in-memory detect/analyze_trace.
 //   * PipelinedTraceReader (DESIGN.md §17) delivers the same events in the
 //     same blocks as its wrapped source, propagates producer exceptions to
 //     the consumer, and shuts down cleanly when abandoned mid-stream.
@@ -30,6 +31,7 @@
 #include "trace/serialize.hpp"
 #include "trace/sharded_recorder.hpp"
 #include "trace/trace_reader.hpp"
+#include "wolf.hpp"
 #include "workloads/suite.hpp"
 
 namespace wolf {
@@ -134,10 +136,13 @@ TEST(StreamingDetectionTest, StreamingDetectorIngestsIncrementally) {
   auto trace = sim::record_trace(bench.program, 3, 20, bench.max_steps);
   ASSERT_TRUE(trace.has_value());
 
-  StreamingDetector streaming;
-  for (const Event& e : trace->events) streaming.add(e);
-  EXPECT_EQ(streaming.events_seen(), trace->events.size());
-  EXPECT_EQ(detection_fingerprint(streaming.finish()),
+  Config config;
+  config.jobs = 1;
+  Session session = Session::open(config);
+  ASSERT_FALSE(session.governed());
+  for (const Event& e : trace->events) ASSERT_TRUE(session.feed(e));
+  EXPECT_EQ(session.events_seen(), trace->events.size());
+  EXPECT_EQ(detection_fingerprint(session.finish().detection),
             detection_fingerprint(detect(*trace)));
 }
 
@@ -172,7 +177,11 @@ TEST(AnalyzeReaderTest, MatchesAnalyzeTraceOnV3Stream) {
 
   std::istringstream is{trace_to_string(*trace, TraceFormat::kV3)};
   StreamTraceReader reader(is);
-  WolfReport streamed = analyze_reader(bench.program, reader, options);
+  Config config;
+  config.jobs = options.jobs;
+  Session session = Session::open(config);
+  WolfReport streamed =
+      analyze_session(bench.program, session, reader, options);
   EXPECT_TRUE(reader.ok()) << reader.error();
 
   EXPECT_EQ(report_fingerprint(streamed), report_fingerprint(batch));
