@@ -4,7 +4,6 @@
 
 #include "core/detector.hpp"
 #include "core/generator.hpp"
-#include "core/magic_prune.hpp"
 #include "core/pruner.hpp"
 #include "sim/scheduler.hpp"
 #include "workloads/cache4j.hpp"
@@ -117,32 +116,17 @@ void BM_PrunerJigsaw(benchmark::State& state) {
 }
 BENCHMARK(BM_PrunerJigsaw);
 
-void BM_MagicPrune(benchmark::State& state) {
-  Trace trace = cache_trace(static_cast<int>(state.range(0)));
-  LockDependency dep = LockDependency::from_trace(trace);
-  for (auto _ : state) {
-    auto alive = magic_prune(dep);
-    benchmark::DoNotOptimize(alive.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dep.unique.size()));
-}
-BENCHMARK(BM_MagicPrune)->Arg(64)->Arg(256);
-
-void BM_CycleEnumerationWithMagicPrune(benchmark::State& state) {
-  // Detection cost on a lock-heavy, cycle-free trace with and without the
-  // MagicFuzzer reduction.
+void BM_CycleEnumerationCache4j(benchmark::State& state) {
+  // A lock-heavy, cycle-free trace: the tuple-SCC partition proves every
+  // component trivial, so enumeration does no search at all.
   Trace trace = cache_trace(256);
   LockDependency dep = LockDependency::from_trace(trace);
-  const bool pruned = state.range(0) != 0;
   for (auto _ : state) {
-    LockDependency d = dep;
-    if (pruned) d.unique = magic_prune(dep);
-    auto cycles = enumerate_cycles(d);
+    auto cycles = enumerate_cycles(dep);
     benchmark::DoNotOptimize(cycles.size());
   }
 }
-BENCHMARK(BM_CycleEnumerationWithMagicPrune)->Arg(0)->Arg(1);
+BENCHMARK(BM_CycleEnumerationCache4j);
 
 void BM_FullDetectJigsaw(benchmark::State& state) {
   Trace trace = jigsaw_trace();

@@ -6,9 +6,9 @@
 // enumeration step alone (D_σ construction and clock tracking are paid once,
 // outside the timed region) for:
 //
-//   scc              — the SCC-partitioned bitset engine, jobs=1;
-//   scc-parN         — the same engine at N-way enumeration parallelism;
-//   scc+clock-cut    — jobs=1 with the Pruner's test folded into the search.
+//   scc              — the SCC-partitioned bitset engine;
+//   scc+clock-cut    — the same engine with the Pruner's test folded into
+//                      the search.
 //
 // Workloads:
 //   ring     — k threads on a ring of k locks, chain degree d: one big
@@ -29,14 +29,13 @@
 // how many re-executed steps the shared prefix removed versus independent
 // per-cycle replay.
 //
-// Emits BENCH_detect.json (with hardware_concurrency recorded — on a 1-CPU
-// container the parallel column is honestly ~1x). Exits 1 if the engine's
-// cycle sequence at either jobs level diverges from the reference DFS
-// oracle of the test suite (tests/testutil.hpp, run untimed), or the
-// clock-cut enumeration differs from the batch-pruned survivors: speed only
-// counts when the answer is identical.
+// Emits BENCH_detect.json (with hardware_concurrency recorded). Exits 1 if
+// the engine's cycle sequence diverges from the reference DFS oracle of the
+// test suite (tests/testutil.hpp, run untimed), or the clock-cut enumeration
+// differs from the batch-pruned survivors: speed only counts when the answer
+// is identical.
 //
-//   perf_detect [--quick] [--jobs=N] [--out=BENCH_detect.json]
+//   perf_detect [--quick] [--out=BENCH_detect.json]
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -249,15 +248,12 @@ struct WorkloadResult {
   std::size_t tuples = 0;     // canonical
   std::size_t cycles = 0;     // full enumeration
   EngineSample scc;
-  EngineSample scc_par;
   EngineSample clock_cut;
   std::size_t surviving_cycles = 0;  // batch-pruner survivors
-  double speedup_par = 0;      // scc jobs=1 / scc jobs=N
-  bool identical = false;      // oracle == scc == scc-par,
-                               // clock cut == survivors
+  bool identical = false;  // oracle == scc, clock cut == survivors
 };
 
-WorkloadResult measure(const sim::Program& program, int jobs, int reps,
+WorkloadResult measure(const sim::Program& program, int reps,
                        std::uint64_t seed) {
   WorkloadResult r;
   r.name = program.name;
@@ -278,18 +274,13 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
   DetectorOptions options;
   r.scc = time_engine(det.dep, options, nullptr, reps);
 
-  options.jobs = jobs;
-  r.scc_par = time_engine(det.dep, options, nullptr, reps);
-
-  options.jobs = 1;
   options.clock_prune_during_search = true;
   r.clock_cut = time_engine(det.dep, options, &det.clocks, reps);
 
   r.cycles = r.scc.cycles;
-  if (r.scc_par.seconds > 0) r.speedup_par = r.scc.seconds / r.scc_par.seconds;
 
-  // The correctness gates: the reference oracle's canonical sequence at
-  // both jobs levels; clock-cut enumeration == the batch pruner's survivors.
+  // The correctness gates: the reference oracle's canonical sequence;
+  // clock-cut enumeration == the batch pruner's survivors.
   const std::string oracle = cycles_fingerprint(
       test::enumerate_cycles_reference(det.dep, DetectorOptions{}).cycles);
   const std::vector<PruneVerdict> verdicts = prune(det);
@@ -298,7 +289,6 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
     if (!is_false(verdicts[i])) survivors.push_back(det.cycles[i]);
   r.surviving_cycles = survivors.size();
   r.identical = oracle == r.scc.fingerprint &&
-                oracle == r.scc_par.fingerprint &&
                 r.clock_cut.fingerprint == cycles_fingerprint(survivors);
   return r;
 }
@@ -375,12 +365,11 @@ void sample_json(std::ostream& os, const char* key, const EngineSample& s,
 }
 
 void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
-                const ReplaySharingResult& sharing, bool quick, int jobs) {
+                const ReplaySharingResult& sharing, bool quick) {
   os << "{\n"
      << "  \"bench\": \"perf_detect\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
      << "  \"hardware_concurrency\": " << ThreadPool::hardware_jobs() << ",\n"
-     << "  \"jobs\": " << jobs << ",\n"
      << "  \"workloads\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& r = results[i];
@@ -391,10 +380,8 @@ void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
        << "      \"cycles\": " << r.cycles << ",\n"
        << "      \"surviving_cycles\": " << r.surviving_cycles << ",\n";
     sample_json(os, "scc", r.scc, ",");
-    sample_json(os, "scc_parallel", r.scc_par, ",");
     sample_json(os, "scc_clock_cut", r.clock_cut, ",");
-    os << "      \"speedup_parallel\": " << r.speedup_par << ",\n"
-       << "      \"identical\": " << (r.identical ? "true" : "false") << '\n'
+    os << "      \"identical\": " << (r.identical ? "true" : "false") << '\n'
        << "    }" << (i + 1 < results.size() ? "," : "") << '\n';
   }
   os << "  ],\n"
@@ -417,17 +404,12 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define_bool("quick", false,
                     "CI smoke mode: smaller workloads, fewer reps");
-  flags.define_int("jobs", 0,
-                   "enumeration parallelism for the scc-parN column "
-                   "(0 = hardware concurrency, min 4 for the comparison)");
   flags.define_int("seed", 2014, "seed");
   flags.define_int("reps", 0, "timing repetitions (0 = 3 quick / 5 full)");
   flags.define_string("out", "BENCH_detect.json", "JSON output path");
   if (!flags.parse(argc, argv)) return 1;
 
   const bool quick = flags.get_bool("quick");
-  int jobs = static_cast<int>(flags.get_int("jobs"));
-  if (jobs <= 0) jobs = std::max(4, ThreadPool::hardware_jobs());
   int reps = static_cast<int>(flags.get_int("reps"));
   if (reps <= 0) reps = quick ? 3 : 5;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -447,7 +429,7 @@ int main(int argc, char** argv) {
 
   std::vector<WorkloadResult> results;
   for (const sim::Program& program : programs)
-    results.push_back(measure(program, jobs, reps, seed));
+    results.push_back(measure(program, reps, seed));
 
   // Replay-sharing measurement on the mixed workload: the embedded ring
   // yields several feasible cycles whose Gs graphs steer the same recorded
@@ -457,13 +439,11 @@ int main(int argc, char** argv) {
       programs[mixed_index], seed, /*max_members=*/8,
       /*attempts=*/quick ? 3 : 5);
 
-  TextTable table({"Workload", "Tuples", "Cycles", "SCC",
-                   "Par(" + std::to_string(jobs) + "j)", "Clock-cut",
-                   "Identical"});
+  TextTable table(
+      {"Workload", "Tuples", "Cycles", "SCC", "Clock-cut", "Identical"});
   for (const WorkloadResult& r : results)
     table.add_row({r.name, std::to_string(r.tuples), std::to_string(r.cycles),
                    TextTable::num(r.scc.seconds * 1e3, 2) + " ms",
-                   TextTable::num(r.speedup_par, 2) + "x",
                    TextTable::num(r.clock_cut.seconds * 1e3, 2) + " ms",
                    r.identical ? "yes" : "NO"});
   table.render(std::cout);
@@ -482,10 +462,9 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, results, sharing, quick, jobs);
+  write_json(os, results, sharing, quick);
   std::cout << "\nwrote " << out << " (hardware concurrency "
-            << ThreadPool::hardware_jobs() << "; parallel column is ~1x on a "
-            << "1-CPU machine)\n";
+            << ThreadPool::hardware_jobs() << ")\n";
 
   bool all_identical = true;
   for (const WorkloadResult& r : results) all_identical &= r.identical;

@@ -43,23 +43,10 @@
 // AB/BA ring on two dedicated threads every ring_every events — fixed
 // sites — dedups to a handful of canonical tuples and a stable cycle set.
 //
-// Since DESIGN.md §17 every scenario ingests through the same reader path
-// production uses (a TraceReader over the synthetic stream), so
-// GovernorOptions::jobs exercises the real pipelined machinery: jobs > 1
-// decodes blocks on a producer thread behind the bounded ring and fans
-// suspicious windows out per dirty SCC. The JSON `parallel` section reruns
-// the scenarios at jobs ∈ {1, 2, 4} and *gates identity*: cycles, verdict,
-// window reports, and the live-delivery transcript must be byte-identical
-// at every level (the deadline scenario gates final cycles only — its
-// ladder rungs depend on wall-clock latency by design). The jobs=4 vs
-// jobs=1 ingest speedup is recorded honestly: it is gated (>= 1.5x) only
-// on full runs with hardware_concurrency >= 4 — on 1-CPU runners the
-// numbers are published but only identity is enforced, because a speedup
-// measured without cores is noise. mevents_per_s spans ingestion only
-// (generation + decode + window detection); finish() is reported
-// separately as finish_seconds. queue_stall_ms / decode_overlap_pct
-// attribute pipelining: push stalls mean ingest was the bottleneck
-// (backpressure worked), pop stalls mean decode was.
+// Every scenario ingests through the same block/reader shape production
+// uses (a TraceReader over the synthetic stream, drained serially into the
+// governor). mevents_per_s spans ingestion only (generation + window
+// detection); finish() is reported separately as finish_seconds.
 //
 //   perf_online [--quick] [--events=N] [--budget-mb=N]
 //               [--out=BENCH_online.json]
@@ -67,10 +54,7 @@
 #include <array>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -301,11 +285,8 @@ double percentile(std::vector<double> values, double p) {
 struct ScenarioResult {
   std::string name;
   std::uint64_t events = 0;
-  int jobs = 1;
   double mevents_per_s = 0;         // ingestion-only span (see header)
   double finish_seconds = 0;        // final enumeration, outside the span
-  double queue_stall_ms = 0;        // ring push+pop stall time (jobs > 1)
-  double decode_overlap_pct = 0;    // % of decode hidden behind ingestion
   std::size_t windows = 0;
   double p50_detect_ms = 0;
   double p99_detect_ms = 0;
@@ -321,18 +302,8 @@ struct ScenarioResult {
   std::size_t rss_growth_bytes = 0; // VmHWM delta over this scenario
 };
 
-// Determinism transcript of one run, for the jobs-invariance gates. The
-// `governed` part is byte-stable only for deadline-free scenarios (ladder
-// rungs follow wall-clock latency); `cycles` is deterministic always.
-struct RunFingerprint {
-  std::string cycles;    // final detection, one canonical line per cycle
-  std::string governed;  // verdict + window reports + live transcript
-};
-
 // TraceReader over a synthetic event stream: the bench's scenarios ingest
-// through the same block/reader machinery production uses, so jobs > 1
-// exercises the real PipelinedTraceReader path with the generator playing
-// the role of decode on the producer side.
+// through the same block/reader machinery production uses.
 template <typename Stream>
 class SyntheticTraceReader final : public TraceReader {
  public:
@@ -367,65 +338,27 @@ OnlineEventStream make_stream(std::uint64_t events, std::uint64_t seed,
                            seed);
 }
 
-// Measurement core, generic over the event source so the churn scenarios
-// reuse the exact same accounting as the main stream's. Ingestion runs
-// through the reader path (pipelined when options.jobs > 1) and is timed
-// alone: the monotonic span covers generation/decode + window detection,
-// while finish() — whose cost does not scale with the stream — is timed
-// separately. The fingerprint records everything the jobs-invariance gates
-// compare: final cycles, verdict (summary + notes), every window report's
-// deterministic fields, and the full live-delivery transcript.
+// Measurement core, generic over the event source so the churn scenario
+// reuses the exact same accounting as the main stream's. Ingestion is timed
+// alone: the monotonic span covers generation + window detection, while
+// finish() — whose cost does not scale with the stream — is timed
+// separately.
 template <typename Stream>
 ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
                                Stream& stream, const GovernorOptions& options,
-                               Detection* out_detection = nullptr,
-                               RunFingerprint* out_fp = nullptr) {
+                               Detection* out_detection = nullptr) {
   ScenarioResult r;
   r.name = name;
   r.events = events;
-  r.jobs = options.jobs <= 0 ? ThreadPool::hardware_jobs() : options.jobs;
   r.budget_bytes = options.memory_budget_mb << 20;
   const std::size_t rss_base = peak_rss_bytes();
 
-  // Chain a live-transcript recorder in front of any caller subscriber, so
-  // delivery order and sequence numbers are part of the fingerprint.
-  std::ostringstream live_log;
-  GovernorOptions opts = options;
-  const CycleSubscriber user_subscriber = options.on_cycle;
-  opts.on_cycle = [&live_log, &user_subscriber](const LiveCycle& lc) {
-    live_log << "w" << lc.window << " #" << lc.sequence << ' '
-             << lc.cycle->to_string(*lc.dep) << '\n';
-    if (user_subscriber) user_subscriber(lc);
-  };
-
-  Governor governed(opts);
+  Governor governed(options);
   SyntheticTraceReader<Stream> source(stream, events);
-  double ingest_seconds = 0;
-  {
-    std::optional<PipelinedTraceReader> piped;
-    TraceReader* reader = &source;
-    if (r.jobs > 1) {
-      piped.emplace(source, /*depth=*/std::max(4, 2 * r.jobs));
-      reader = &*piped;
-    }
-    Stopwatch ingest;
-    std::vector<Event> block;
-    while (reader->next_block(block)) governed.add_block(block);
-    ingest_seconds = ingest.seconds();
-    if (piped.has_value()) {
-      const PipelinedTraceReader::Stats q = piped->stats();
-      r.queue_stall_ms = (q.push_stall_seconds + q.pop_stall_seconds) * 1e3;
-      // Overlap bound: of the producer's decode time, everything the
-      // consumer did NOT spend waiting on an empty ring ran concurrently
-      // with ingestion (max(0, decode - pop_stall) of it, as a fraction of
-      // decode). 100% = decode fully hidden behind detection.
-      if (q.decode_seconds > 0) {
-        const double hidden =
-            std::max(0.0, q.decode_seconds - q.pop_stall_seconds);
-        r.decode_overlap_pct = 100.0 * hidden / q.decode_seconds;
-      }
-    }
-  }
+  Stopwatch ingest;
+  std::vector<Event> block;
+  while (source.next_block(block)) governed.add_block(block);
+  const double ingest_seconds = ingest.seconds();
   Stopwatch finish_watch;
   Detection detection = governed.finish();
   r.finish_seconds = finish_watch.seconds();
@@ -452,24 +385,6 @@ ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
   const std::size_t rss_after = peak_rss_bytes();
   r.rss_growth_bytes = rss_after > rss_base ? rss_after - rss_base : 0;
 
-  if (out_fp != nullptr) {
-    std::ostringstream cyc;
-    for (const PotentialDeadlock& c : detection.cycles)
-      cyc << c.to_string(detection.dep) << '\n';
-    out_fp->cycles = cyc.str();
-    std::ostringstream gov;
-    gov << verdict.summary() << '\n';
-    for (const std::string& note : verdict.notes) gov << "note: " << note << '\n';
-    for (const WindowReport& w : governed.windows()) {
-      gov << "w" << w.index << " ev=" << w.events << " live=" << w.tuples_live
-          << " bytes=" << w.store_bytes << " level=" << to_string(w.level)
-          << " susp=" << w.suspicious << " new=" << w.new_cycles
-          << " compacted=" << w.tuples_compacted
-          << " evicted=" << w.tuples_evicted << " note=" << w.note << '\n';
-    }
-    gov << live_log.str();
-    out_fp->governed = gov.str();
-  }
   if (out_detection != nullptr) *out_detection = std::move(detection);
   return r;
 }
@@ -477,10 +392,9 @@ ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
 ScenarioResult run_scenario(const std::string& name, std::uint64_t events,
                             std::uint64_t seed, const GovernorOptions& options,
                             Detection* out_detection = nullptr,
-                            std::uint64_t phases = 8,
-                            RunFingerprint* out_fp = nullptr) {
+                            std::uint64_t phases = 8) {
   OnlineEventStream stream = make_stream(events, seed, phases);
-  return run_scenario_on(name, events, stream, options, out_detection, out_fp);
+  return run_scenario_on(name, events, stream, options, out_detection);
 }
 
 // Two cycle sets are "identical" when they agree cycle by cycle on the
@@ -500,33 +414,12 @@ struct ChurnSection {
   bool live_complete = false;  // every committed cycle surfaced pre-finish
 };
 
-// One scenario's jobs-invariance record: the same configuration rerun at
-// jobs ∈ {1, 2, 4}, each rerun's fingerprint compared against the jobs=1
-// baseline. full_fingerprint covers cycles + verdict + windows + live
-// transcript; the deadline scenario compares final cycles only (its ladder
-// follows wall-clock latency, which no amount of determinism pins down).
-struct ParallelScenario {
-  std::string name;
-  bool full_fingerprint = true;
-  std::vector<ScenarioResult> runs;  // jobs = 1, 2, 4 in order
-  bool identical = true;
-};
-
-struct ParallelSection {
-  std::vector<ParallelScenario> scenarios;
-  bool identity_ok = true;
-  double speedup_4_vs_1 = 0;   // unbounded scenario, ingest Mev/s ratio
-  bool speedup_gated = false;  // only full runs on >= 4 hardware threads
-};
-
 void write_scenario_json(std::ostream& os, const ScenarioResult& s,
                          const char* indent) {
   os << indent << "{\"name\": \"" << s.name << "\", \"events\": " << s.events
-     << ", \"jobs\": " << s.jobs << ",\n"
+     << ",\n"
      << indent << " \"mevents_per_s\": " << s.mevents_per_s
-     << ", \"finish_seconds\": " << s.finish_seconds
-     << ", \"queue_stall_ms\": " << s.queue_stall_ms
-     << ", \"decode_overlap_pct\": " << s.decode_overlap_pct << ",\n"
+     << ", \"finish_seconds\": " << s.finish_seconds << ",\n"
      << indent << " \"windows\": " << s.windows
      << ", \"p50_window_detect_ms\": " << s.p50_detect_ms
      << ", \"p99_window_detect_ms\": " << s.p99_detect_ms << ",\n"
@@ -542,35 +435,9 @@ void write_scenario_json(std::ostream& os, const ScenarioResult& s,
      << ", \"live_cycles\": " << s.live_cycles << "}";
 }
 
-void write_parallel_json(std::ostream& os, const ParallelSection& par) {
-  os << "  \"parallel\": {\n"
-     << "    \"jobs_levels\": [1, 2, 4],\n"
-     << "    \"identity_ok\": " << (par.identity_ok ? "true" : "false")
-     << ",\n"
-     << "    \"speedup_4_vs_1\": " << par.speedup_4_vs_1
-     << ", \"speedup_gate\": " << (par.speedup_gated ? "1.5" : "null")
-     << ",\n"
-     << "    \"scenarios\": [\n";
-  for (std::size_t i = 0; i < par.scenarios.size(); ++i) {
-    const ParallelScenario& p = par.scenarios[i];
-    os << "      {\"name\": \"" << p.name << "\", \"identical\": "
-       << (p.identical ? "true" : "false") << ", \"fingerprint\": \""
-       << (p.full_fingerprint ? "cycles+verdict+windows+live" : "cycles")
-       << "\",\n"
-       << "       \"runs\": [\n";
-    for (std::size_t j = 0; j < p.runs.size(); ++j) {
-      write_scenario_json(os, p.runs[j], "        ");
-      os << (j + 1 < p.runs.size() ? "," : "") << '\n';
-    }
-    os << "       ]}" << (i + 1 < par.scenarios.size() ? "," : "") << '\n';
-  }
-  os << "    ]\n  }";
-}
-
 void write_json(std::ostream& os, bool quick, std::uint64_t events,
                 const std::vector<ScenarioResult>& scenarios,
-                bool differential_ok, const ChurnSection& churn,
-                const ParallelSection& par) {
+                bool differential_ok, const ChurnSection& churn) {
   os << "{\n"
      << "  \"bench\": \"perf_online\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
@@ -593,9 +460,7 @@ void write_json(std::ostream& os, bool quick, std::uint64_t events,
      << "    \"identical_vs_batch\": "
      << (churn.identical_vs_batch ? "true" : "false")
      << ", \"live_complete\": " << (churn.live_complete ? "true" : "false")
-     << "\n  },\n";
-  write_parallel_json(os, par);
-  os << "\n}\n";
+     << "\n  }\n}\n";
 }
 
 }  // namespace
@@ -620,42 +485,17 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioResult> scenarios;
 
-  // Scenario runners parameterized on jobs: each builds its GovernorOptions
-  // from scratch so the parallel section can rerun the byte-identical
-  // configuration at jobs ∈ {2, 4} and compare fingerprints.
-  const auto budgeted_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
+  // 1. Budgeted — first, so VmHWM is the governed run's peak.
+  {
     GovernorOptions o;
     o.memory_budget_mb = budget_mb;
-    o.jobs = jobs;
-    return run_scenario("budgeted", events, seed, o, det, 8, fp);
-  };
-  const auto unbounded_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
-    GovernorOptions o;
-    o.jobs = jobs;
-    return run_scenario("unbounded", events, seed, o, det, 8, fp);
-  };
-  const auto deadline_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
-    GovernorOptions o;
-    o.window_events = 8192;
-    o.window_deadline_ms = 1;
-    o.jobs = jobs;
-    return run_scenario("deadline", events, seed, o, det, 8, fp);
-  };
-  const auto shed_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
-    GovernorOptions o;
-    o.memory_budget_mb = 2;
-    o.jobs = jobs;
-    return run_scenario("shed", events, seed, o, det, 64, fp);
-  };
-
-  RunFingerprint budgeted_fp, unbounded_fp, deadline_fp, shed_fp, churn_fp;
-
-  // 1. Budgeted — first, so VmHWM is the governed run's peak.
-  scenarios.push_back(budgeted_run(1, nullptr, &budgeted_fp));
+    scenarios.push_back(run_scenario("budgeted", events, seed, o));
+  }
 
   // 2. Unbounded + differential gate vs plain streaming detection.
   Detection governed_detection;
-  scenarios.push_back(unbounded_run(1, &governed_detection, &unbounded_fp));
+  scenarios.push_back(run_scenario("unbounded", events, seed,
+                                   GovernorOptions{}, &governed_detection));
 
   Detection batch_detection;
   {
@@ -666,12 +506,21 @@ int main(int argc, char** argv) {
   const bool differential_ok = same_cycles(governed_detection, batch_detection);
 
   // 3. Deadline pressure on small windows.
-  scenarios.push_back(deadline_run(1, nullptr, &deadline_fp));
+  {
+    GovernorOptions o;
+    o.window_events = 8192;
+    o.window_deadline_ms = 1;
+    scenarios.push_back(run_scenario("deadline", events, seed, o));
+  }
 
   // 4. Shedding — a 64-phase stream whose canonical tuple set alone
   // outgrows a small budget, so compaction cannot save it and aging must
   // evict; the honest verdict (coverage_complete = false) is gated below.
-  scenarios.push_back(shed_run(1, nullptr, &shed_fp));
+  {
+    GovernorOptions o;
+    o.memory_budget_mb = 2;
+    scenarios.push_back(run_scenario("shed", events, seed, o, nullptr, 64));
+  }
 
   // 5. Churn: the every-window-churn stream through the dirty-SCC window
   // path, against a plain batch reference.
@@ -679,19 +528,16 @@ int main(int argc, char** argv) {
   churn.churn_events = quick ? 100'000 : 400'000;
   churn.window_events = quick ? 4'096 : 8'192;
 
-  const auto churn_run = [&](int jobs, Detection* det, RunFingerprint* fp,
-                             std::size_t* delivered) {
-    GovernorOptions o;
-    o.window_events = churn.window_events;
-    o.jobs = jobs;
-    if (delivered != nullptr)
-      o.on_cycle = [delivered](const LiveCycle&) { ++*delivered; };
-    ChurnEventStream stream(churn.window_events);
-    return run_scenario_on("churn", churn.churn_events, stream, o, det, fp);
-  };
   std::size_t delivered = 0;
   Detection churn_det;
-  churn.run = churn_run(1, &churn_det, &churn_fp, &delivered);
+  {
+    GovernorOptions o;
+    o.window_events = churn.window_events;
+    o.on_cycle = [&delivered](const LiveCycle&) { ++delivered; };
+    ChurnEventStream stream(churn.window_events);
+    churn.run =
+        run_scenario_on("churn", churn.churn_events, stream, o, &churn_det);
+  }
   Detection churn_batch_det;
   {
     SyntheticTraceReader<ChurnEventStream> batch_reader(
@@ -703,58 +549,6 @@ int main(int argc, char** argv) {
   churn.live_complete = delivered == churn.run.live_cycles &&
                         delivered == churn_det.cycles.size();
   scenarios.push_back(churn.run);
-
-  // Jobs-invariance reruns (DESIGN.md §17): every governed scenario rerun
-  // at jobs ∈ {2, 4}, each rerun's fingerprint compared against its jobs=1
-  // baseline. Identity is gated on every run, --quick included; the jobs=4
-  // ingest speedup is gated only on full runs with >= 4 hardware threads
-  // (a speedup measured without cores is noise, not a regression).
-  ParallelSection par;
-  par.speedup_gated = !quick && ThreadPool::hardware_jobs() >= 4;
-  struct ParallelSpec {
-    const char* name;
-    bool full_fingerprint;
-    const RunFingerprint* base_fp;
-    const ScenarioResult* base_result;
-    std::function<ScenarioResult(int, RunFingerprint*)> rerun;
-  };
-  const std::vector<ParallelSpec> specs = {
-      {"budgeted", true, &budgeted_fp, &scenarios[0],
-       [&](int j, RunFingerprint* fp) { return budgeted_run(j, nullptr, fp); }},
-      {"unbounded", true, &unbounded_fp, &scenarios[1],
-       [&](int j, RunFingerprint* fp) { return unbounded_run(j, nullptr, fp); }},
-      {"deadline", false, &deadline_fp, &scenarios[2],
-       [&](int j, RunFingerprint* fp) { return deadline_run(j, nullptr, fp); }},
-      {"shed", true, &shed_fp, &scenarios[3],
-       [&](int j, RunFingerprint* fp) { return shed_run(j, nullptr, fp); }},
-      {"churn", true, &churn_fp, &scenarios[4],
-       [&](int j, RunFingerprint* fp) {
-         return churn_run(j, nullptr, fp, nullptr);
-       }},
-  };
-  for (const ParallelSpec& spec : specs) {
-    ParallelScenario p;
-    p.name = spec.name;
-    p.full_fingerprint = spec.full_fingerprint;
-    p.runs.push_back(*spec.base_result);
-    for (int j : {2, 4}) {
-      RunFingerprint fp;
-      p.runs.push_back(spec.rerun(j, &fp));
-      const bool same =
-          fp.cycles == spec.base_fp->cycles &&
-          (!spec.full_fingerprint || fp.governed == spec.base_fp->governed);
-      if (!same) p.identical = false;
-    }
-    if (!p.identical) par.identity_ok = false;
-    par.scenarios.push_back(std::move(p));
-  }
-  {
-    const ParallelScenario& unb = par.scenarios[1];
-    par.speedup_4_vs_1 = unb.runs[0].mevents_per_s > 0
-                             ? unb.runs[2].mevents_per_s /
-                                   unb.runs[0].mevents_per_s
-                             : 0;
-  }
 
   TextTable table({"Scenario", "Mev/s", "Windows", "p50 ms", "p99 ms",
                    "Peak store", "Budget", "Evicted", "Complete", "Cycles"});
@@ -782,31 +576,13 @@ int main(int argc, char** argv) {
             << " MB, churn p99 window detect "
             << TextTable::num(churn.run.p99_detect_ms, 2) << " ms\n";
 
-  std::cout << "\njobs-invariance (fingerprints vs jobs=1):\n";
-  TextTable ptable({"Scenario", "Jobs", "Mev/s", "Stall ms", "Ovlp %",
-                    "Identical"});
-  for (const ParallelScenario& p : par.scenarios)
-    for (const ScenarioResult& r : p.runs)
-      ptable.add_row({p.name, std::to_string(r.jobs),
-                      TextTable::num(r.mevents_per_s, 2),
-                      TextTable::num(r.queue_stall_ms, 1),
-                      TextTable::num(r.decode_overlap_pct, 0),
-                      p.identical ? "yes" : "NO"});
-  ptable.render(std::cout);
-  std::cout << "jobs=4 vs jobs=1 ingest speedup "
-            << TextTable::num(par.speedup_4_vs_1, 2) << "x"
-            << (par.speedup_gated
-                    ? " (gate >= 1.5x)"
-                    : " (identity-only: quick run or < 4 hardware threads)")
-            << '\n';
-
   const std::string out = flags.get_string("out");
   std::ofstream os(out);
   if (!os) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, quick, events, scenarios, differential_ok, churn, par);
+  write_json(os, quick, events, scenarios, differential_ok, churn);
   std::cout << "wrote " << out << '\n';
 
   // Correctness gates: throughput only counts when the contract held.
@@ -840,20 +616,6 @@ int main(int argc, char** argv) {
   }
   if (!churn.run.coverage_complete) {
     std::cerr << "FAIL: churn run lost coverage without a budget\n";
-    ok = false;
-  }
-  // Parallel-section gates: identity always (the whole point of §17 is
-  // that jobs never changes the answer); speedup only where it can exist.
-  if (!par.identity_ok) {
-    for (const ParallelScenario& p : par.scenarios)
-      if (!p.identical)
-        std::cerr << "FAIL: " << p.name
-                  << " diverged from its jobs=1 fingerprint\n";
-    ok = false;
-  }
-  if (par.speedup_gated && par.speedup_4_vs_1 < 1.5) {
-    std::cerr << "FAIL: jobs=4 ingest speedup " << par.speedup_4_vs_1
-              << " < 1.5x\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -8,16 +8,12 @@
 #include "graph/digraph.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
-#include "support/thread_pool.hpp"
 
 namespace wolf {
 
 namespace {
 
-// Funnel statistics. All are jobs-invariant on non-truncated runs; when the
-// max-cycles cap bites, chains/cycles depend on where each enumeration
-// stopped, which differs between the serial early-exit and the per-start
-// parallel caps.
+// Funnel statistics; deterministic for a given D_σ and options.
 const obs::Counter kChains("detector.chains");
 const obs::Counter kSccsVisited("detector.sccs_nontrivial");
 const obs::Counter kClockCuts("detector.clock_cuts");
@@ -40,7 +36,6 @@ inline void flip_bit(Word* w, std::size_t i) {
 // per-node thread/lock/τ scalars hoisted into flat arrays, each lockset as a
 // word-mask over dense LockIds, and the per-lock inverted holder index in
 // node (= dep.unique) order, which fixes the canonical DFS candidate order.
-// Read-only once built: ChainSearch workers share it without locking.
 class SccEngine {
  public:
   SccEngine(const LockDependency& dep, const DetectorOptions& options,
@@ -238,51 +233,18 @@ struct ChainSearch {
   std::vector<PotentialDeadlock> out;
 };
 
-// Runs the search from every nontrivial-SCC start, serially or per-start
-// in parallel.
+// Runs the search from every nontrivial-SCC start, in node order.
 EnumerationResult SccEngine::run() const {
   const std::size_t n = size();
-  std::size_t nontrivial_starts = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (in_nontrivial_scc(i)) ++nontrivial_starts;
-
-  int jobs = options_.jobs <= 0 ? ThreadPool::hardware_jobs() : options_.jobs;
-  if (nontrivial_starts <= 1) jobs = 1;
-
-  EnumerationResult result;
-  if (jobs == 1) {
-    ChainSearch search(*this);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (search.out.size() >= options_.max_cycles) break;
-      if (!in_nontrivial_scc(i)) continue;
-      search.run_from(static_cast<std::uint32_t>(i));
-      obs::progress_tick("detect", i + 1, n);
-    }
-    result.cycles = std::move(search.out);
-  } else {
-    // Per-start enumerations share only read-only state; each task caps
-    // itself at max_cycles (the merged prefix can use at most that many
-    // from any single start) and the canonical-order merge + truncate
-    // reproduces the serial sequence exactly.
-    std::vector<std::vector<PotentialDeadlock>> per_start(n);
-    ThreadPool pool(jobs);
-    std::atomic<std::size_t> starts_done{0};
-    pool.parallel_for_each(n, [&](std::size_t i) {
-      if (!in_nontrivial_scc(i)) return;
-      ChainSearch search(*this);
-      search.run_from(static_cast<std::uint32_t>(i));
-      per_start[i] = std::move(search.out);
-      obs::progress_tick(
-          "detect", starts_done.fetch_add(1, std::memory_order_relaxed) + 1,
-          nontrivial_starts);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      for (PotentialDeadlock& cycle : per_start[i]) {
-        if (result.cycles.size() >= options_.max_cycles) break;
-        result.cycles.push_back(std::move(cycle));
-      }
-    }
+  ChainSearch search(*this);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (search.out.size() >= options_.max_cycles) break;
+    if (!in_nontrivial_scc(i)) continue;
+    search.run_from(static_cast<std::uint32_t>(i));
+    obs::progress_tick("detect", i + 1, n);
   }
+  EnumerationResult result;
+  result.cycles = std::move(search.out);
   result.truncated = result.cycles.size() >= options_.max_cycles;
   return result;
 }

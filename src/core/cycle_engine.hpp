@@ -12,10 +12,7 @@
 //
 // The SCC restriction and the clock cut only skip subtrees that emit
 // nothing, so the emitted order is the one a plain DFS over every canonical
-// tuple would produce (the test suite keeps that DFS as its oracle). Because
-// per-start-tuple enumerations are independent and merged in canonical
-// order, a Detection is bit-identical across every DetectorOptions::jobs
-// level too.
+// tuple would produce (the test suite keeps that DFS as its oracle).
 #pragma once
 
 #include <cstddef>

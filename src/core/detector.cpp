@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/cycle_engine.hpp"
-#include "core/magic_prune.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -78,14 +77,7 @@ Detection finish_detection(LockDependency dep, ClockTracker clocks,
   Detection det;
   det.dep = std::move(dep);
   det.clocks = std::move(clocks);
-  EnumerationResult res;
-  if (options.magic_prune) {
-    LockDependency reduced = det.dep;
-    reduced.unique = magic_prune(det.dep);
-    res = enumerate_cycles_ex(reduced, options, &det.clocks);
-  } else {
-    res = enumerate_cycles_ex(det.dep, options, &det.clocks);
-  }
+  EnumerationResult res = enumerate_cycles_ex(det.dep, options, &det.clocks);
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? options.max_cycles : 0;

@@ -53,14 +53,6 @@ struct DetectorOptions {
   // cycles (never hit by the workloads in this repo) and the Detection is
   // flagged truncated.
   std::size_t max_cycles = 100000;
-  // MagicFuzzer-style fixpoint reduction of the tuple set before cycle
-  // enumeration (core/magic_prune.hpp). Cycle-set preserving.
-  bool magic_prune = false;
-  // Enumeration parallelism across canonical start tuples
-  // (core/cycle_engine.hpp): 1 = serial, 0 = hardware concurrency, N =
-  // N-way. Cycles merge in canonical start-tuple order, so the Detection is
-  // bit-identical at every level.
-  int jobs = 1;
   // Folds the Pruner's (S,J) overlap test (Algorithm 2) into the DFS as a
   // branch cut: a chain containing a thread pair that provably cannot
   // overlap is abandoned before it spawns cycles, so the emitted cycle set

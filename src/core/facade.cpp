@@ -41,11 +41,6 @@ std::vector<ConfigIssue> Config::validate() const {
                     "cannot close zero-event windows)"));
   if (window_deadline_ms < 0)
     issues.push_back(fatal_issue("window_deadline_ms must be >= 0"));
-  if (pipeline_depth == 1)
-    issues.push_back(
-        fatal_issue("pipeline_depth must be 0 (auto) or >= 2 (a depth-1 "
-                    "ring serializes decode and ingestion — it cannot "
-                    "overlap anything)"));
 
   // Conflicts: legal, but one of the two settings silently wins. Non-fatal
   // so existing invocations keep working; callers surface these as
@@ -56,21 +51,6 @@ std::vector<ConfigIssue> Config::validate() const {
                 "detector.clock_prune_during_search, which applies the same "
                 "(S,J) clock cut during enumeration — the ablation will not "
                 "see the pruned cycles"));
-  }
-  // Pipelined governed ingestion (DESIGN.md §17): results are identical at
-  // every jobs level. jobs > 1 with memory_budget_mb is a fully supported
-  // combination — the serve sidecar runs every session that way. Memory
-  // stays bounded because the decode→ingest ring is itself bounded
-  // (pipeline_depth blocks): a producer that outruns governed ingestion
-  // parks in RingQueue::push instead of queueing unbounded decoded blocks,
-  // and the tuple store's budget is enforced at window boundaries exactly
-  // as in the serial path (pinned by GovernorTest
-  // JobsWithMemoryBudgetIsSupported). So the one heads-up is a ring that
-  // is never built:
-  if (pipeline_depth >= 2 && jobs == 1) {
-    issues.push_back(
-        warning("pipeline_depth is set but jobs=1: the governed path "
-                "ingests serially and the decode ring is never built"));
   }
   if (deadline_ms != 0 && replay.retry.attempt_deadline_ms != 0 &&
       replay.retry.attempt_deadline_ms != deadline_ms) {
@@ -112,7 +92,6 @@ WolfOptions Config::wolf_options() const {
   o.fault = fault;
   // Shared scalars override the section fields they shadow.
   o.jobs = jobs;
-  o.detector.jobs = jobs;
   o.replay.seed = seed;
   if (deadline_ms != 0) o.replay.retry.attempt_deadline_ms = deadline_ms;
   return o;
@@ -148,12 +127,6 @@ GovernorOptions Config::governor_options() const {
   o.window_deadline_ms = window_deadline_ms;
   o.on_cycle = on_cycle;
   o.detector = detector;
-  // One Config::jobs feeds all three parallel surfaces: reader decode (the
-  // caller's StreamTraceReader options), the decode→ingest pipeline, and
-  // per-SCC window fan-out.
-  o.detector.jobs = jobs;
-  o.jobs = jobs;
-  o.pipeline_depth = pipeline_depth;
   o.fault = fault;
   return o;
 }

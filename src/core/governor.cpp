@@ -8,7 +8,6 @@
 
 #include "obs/counters.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace wolf {
 
@@ -118,17 +117,6 @@ Governor::Governor(const GovernorOptions& options) : options_(options) {
   if (options_.window_events == 0) options_.window_events = 65536;
 }
 
-Governor::~Governor() = default;
-
-int Governor::resolved_jobs() const {
-  return options_.jobs <= 0 ? ThreadPool::hardware_jobs() : options_.jobs;
-}
-
-ThreadPool& Governor::pool() {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved_jobs());
-  return *pool_;
-}
-
 void Governor::add(const Event& e) {
   // Malformed input containment: a semantically inconsistent event (e.g. a
   // release of a lock the thread does not hold, from a corrupted live feed)
@@ -171,28 +159,24 @@ void Governor::note_event(GovernorVerdict& v, std::string note) const {
   }
 }
 
-void Governor::surface_cycle(const PotentialDeadlock& cycle,
-                             const LockDependency& dep, WindowReport& w) {
-  const std::uint64_t key = cycle_key(cycle, dep);
-  if (std::find(seen_cycle_keys_.begin(), seen_cycle_keys_.end(), key) !=
-      seen_cycle_keys_.end())
-    return;
-  seen_cycle_keys_.push_back(key);
-  ++w.new_cycles;
-  ++live_cycles_;
-  if (options_.on_cycle) {
-    LiveCycle lc;
-    lc.window = w.index;
-    lc.sequence = live_cycles_;
-    lc.cycle = &cycle;
-    lc.dep = &dep;
-    options_.on_cycle(lc);
-  }
-}
-
 void Governor::surface_new_cycles(const Detection& det, WindowReport& w) {
-  for (const PotentialDeadlock& cycle : det.cycles)
-    surface_cycle(cycle, det.dep, w);
+  for (const PotentialDeadlock& cycle : det.cycles) {
+    const std::uint64_t key = cycle_key(cycle, det.dep);
+    if (std::find(seen_cycle_keys_.begin(), seen_cycle_keys_.end(), key) !=
+        seen_cycle_keys_.end())
+      continue;
+    seen_cycle_keys_.push_back(key);
+    ++w.new_cycles;
+    ++live_cycles_;
+    if (options_.on_cycle) {
+      LiveCycle lc;
+      lc.window = w.index;
+      lc.sequence = live_cycles_;
+      lc.cycle = &cycle;
+      lc.dep = &det.dep;
+      options_.on_cycle(lc);
+    }
+  }
 }
 
 void Governor::run_window_detection(WindowReport& w) {
@@ -219,90 +203,21 @@ void Governor::run_window_detection(WindowReport& w) {
   // window drains the accumulated dirt and catches up.
   if (w.level >= DetectionLevel::kPrefilterOnly) return;
 
-  const std::vector<std::vector<LockId>> dirty_comps =
-      prefilter_.drain_dirty_suspicious_components();
-  if (dirty_comps.empty()) return;  // the suspicious SCCs are all unchanged
   // A cycle's requested locks all lie in one lock-graph SCC, so the tuples
   // whose request lock belongs to a dirty suspicious SCC form a complete
-  // enumeration domain for every cycle that SCC could newly carry — and
-  // since components partition the locks, each dirty component is an
-  // *independent* domain: no cycle crosses two subsets, and canonical dedup
-  // (keyed on thread, request lock, and context) never merges tuples across
-  // them. That makes components the unit of parallel fan-out.
-  std::vector<std::vector<std::size_t>> subsets;
-  subsets.reserve(dirty_comps.size());
-  for (const std::vector<LockId>& locks : dirty_comps) {
-    std::vector<std::size_t> subset;
-    for (LockId lock : locks) {
-      auto it = tuples_by_lock_.find(lock);
-      if (it == tuples_by_lock_.end()) continue;
-      subset.insert(subset.end(), it->second.begin(), it->second.end());
-    }
-    if (subset.empty()) continue;
-    std::sort(subset.begin(), subset.end());  // canonical trace order
-    subsets.push_back(std::move(subset));
+  // enumeration domain for every cycle those SCCs could newly carry. An
+  // empty drain means the suspicious SCCs are all unchanged.
+  std::vector<std::size_t> subset;
+  for (LockId lock : prefilter_.drain_dirty_suspicious_locks()) {
+    auto it = tuples_by_lock_.find(lock);
+    if (it == tuples_by_lock_.end()) continue;
+    subset.insert(subset.end(), it->second.begin(), it->second.end());
   }
-  if (subsets.empty()) return;
-
-  // Fan the components out as independent enumeration tasks. ThreadPool(1)
-  // degenerates to a plain serial loop, so jobs=1 runs the *same* code path
-  // — jobs-invariance is structural, not tested-for. Each task enumerates
-  // serially inside (fan-out parallelism, not nested DFS), over its own
-  // snapshot and clock copy; the shared builder is only read.
-  DetectorOptions task_opt = opt;
-  task_opt.jobs = 1;
-  std::vector<Detection> dets(subsets.size());
-  pool().parallel_for_each(subsets.size(), [&](std::size_t i) {
-    dets[i] = finish_detection(builder_.snapshot_subset(subsets[i]),
-                               builder_.clocks(), task_opt);
-  });
-
-  // Deterministic canonical-order merge. The combined-subset enumeration
-  // emits cycles grouped by ascending global store index of each cycle's
-  // start tuple (dep.unique ascends in snapshot order, and a sorted subset's
-  // local order *is* global order); a start tuple's request lock lives in
-  // exactly one component, so the per-component streams tie only within a
-  // component, where stable sort preserves emission order. Cross-component
-  // DFS branches in a combined run are dead ends — they can never close a
-  // cycle — so they change no emission. The merged stream is therefore
-  // byte-identical to what one combined enumeration would surface.
-  bool truncated = false;
-  std::size_t total = 0;
-  for (const Detection& d : dets) {
-    truncated = truncated || d.truncated;
-    total += d.cycles.size();
-  }
-  if (truncated || total >= opt.max_cycles) {
-    // Truncation is defined over the combined stream; per-component caps
-    // compose differently. Rare (the cap is huge) — re-enumerate the
-    // combined subset serially rather than approximate the cut.
-    std::vector<std::size_t> combined;
-    for (const std::vector<std::size_t>& s : subsets)
-      combined.insert(combined.end(), s.begin(), s.end());
-    std::sort(combined.begin(), combined.end());
-    Detection det = finish_detection(builder_.snapshot_subset(combined),
-                                     builder_.clocks(), opt);
-    surface_new_cycles(det, w);
-    return;
-  }
-  struct MergeRef {
-    std::size_t global_start;  // store index of the cycle's start tuple
-    std::uint32_t det;
-    std::uint32_t idx;
-  };
-  std::vector<MergeRef> merged;
-  merged.reserve(total);
-  for (std::size_t d = 0; d < dets.size(); ++d)
-    for (std::size_t c = 0; c < dets[d].cycles.size(); ++c)
-      merged.push_back({subsets[d][dets[d].cycles[c].tuple_idx[0]],
-                        static_cast<std::uint32_t>(d),
-                        static_cast<std::uint32_t>(c)});
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MergeRef& a, const MergeRef& b) {
-                     return a.global_start < b.global_start;
-                   });
-  for (const MergeRef& m : merged)
-    surface_cycle(dets[m.det].cycles[m.idx], dets[m.det].dep, w);
+  if (subset.empty()) return;
+  std::sort(subset.begin(), subset.end());  // canonical trace order
+  surface_new_cycles(finish_detection(builder_.snapshot_subset(subset),
+                                      builder_.clocks(), opt),
+                     w);
 }
 
 void Governor::recompute_store_bytes() {
@@ -413,6 +328,8 @@ Detection Governor::finish() {
     ClockTracker clocks = builder_.clocks();
     builder_.clear();
     tuples_by_lock_.clear();
+    if (options_.fault != nullptr && options_.fault->detect_throw_final)
+      throw std::runtime_error("injected final detection fault");
     det = finish_detection(std::move(dep), std::move(clocks),
                            options_.detector);
   } catch (const std::exception& ex) {

@@ -48,22 +48,13 @@
 // *whether* it is reported. Windows can surface each first-sighted cycle to
 // a CycleSubscriber the moment it is found.
 //
-// Since DESIGN.md §17, governed ingestion scales with cores — without
-// touching a byte of the contract above. GovernorOptions::jobs > 1 turns on
-// two composable mechanisms, both bit-identical to the serial path:
-//   * stage pipelining — Session::ingest decodes blocks on a producer
-//     thread behind a bounded SPSC ring (support/ring_queue.hpp,
-//     trace/PipelinedTraceReader), so decode overlaps window detection;
-//   * per-SCC window fan-out — a suspicious window's dirty components are
-//     independent enumeration domains (a cycle's request locks all share
-//     one SCC), so each is enumerated as its own thread-pool task and the
-//     streams are merged back in canonical order.
+// Window and final enumeration run serially on the ingesting thread
+// (DESIGN.md §17).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -73,8 +64,6 @@
 #include "robust/fault.hpp"
 
 namespace wolf {
-
-class ThreadPool;
 
 // The degradation ladder, cheapest-last. Numeric order is demotion order.
 enum class DetectionLevel : std::uint8_t {
@@ -114,22 +103,13 @@ struct GovernorOptions {
   std::int64_t window_deadline_ms = 0;
   // Engine configuration for per-window and final enumeration.
   DetectorOptions detector;
-  // Parallelism of governed ingestion (DESIGN.md §17): > 1 pipelines block
-  // decode behind detection (Session::ingest) and fans a suspicious
-  // window's dirty SCCs out as independent enumeration tasks; 1 = fully
-  // serial; 0 = hardware concurrency. Verdicts, notes, window reports, and
-  // live-cycle sequence numbers are bit-identical at every level.
-  int jobs = 1;
-  // Depth, in blocks, of the decode→ingest ring when jobs > 1; this is the
-  // backpressure bound on how far decode may run ahead of ingestion.
-  // 0 = auto (derived from jobs).
-  std::size_t pipeline_depth = 0;
   // Live cycle surfacing: invoked once per first-sighted cycle at window
   // granularity; empty = no mid-run surfacing. Never changes what finish()
   // returns.
   CycleSubscriber on_cycle;
   // Injected faults (robust/fault.hpp): detect_throw_window exercises the
-  // per-window containment path. Not owned.
+  // per-window containment path, detect_throw_final the final-enumeration
+  // one. Not owned.
   const robust::FaultPlan* fault = nullptr;
 };
 
@@ -185,7 +165,6 @@ std::size_t tuple_bytes(const LockTuple& tuple);
 class Governor {
  public:
   explicit Governor(const GovernorOptions& options = {});
-  ~Governor();
 
   void add(const Event& e);
   void add_block(const std::vector<Event>& events);
@@ -216,13 +195,6 @@ class Governor {
   void run_window_detection(WindowReport& w);
   // First-sighting dedup + subscriber delivery for one window's detection.
   void surface_new_cycles(const Detection& det, WindowReport& w);
-  // Single-cycle unit of the above, shared with the per-SCC merge path.
-  void surface_cycle(const PotentialDeadlock& cycle, const LockDependency& dep,
-                     WindowReport& w);
-  // Lazily-built enumeration pool (resolved_jobs() wide); never built when
-  // the run stays serial.
-  ThreadPool& pool();
-  int resolved_jobs() const;
   // Budget enforcement: compaction, then aging. Updates store_bytes_.
   void govern_memory(WindowReport& w);
   void recompute_store_bytes();
@@ -254,20 +226,6 @@ class Governor {
   // to the tuple subset to enumerate. Rebuilt after compaction/eviction
   // (which renumber the store).
   std::unordered_map<LockId, std::vector<std::size_t>> tuples_by_lock_;
-  std::unique_ptr<ThreadPool> pool_;
-};
-
-// Where pipelined ingestion spent its overlap budget — filled only when
-// Session::ingest ran the decode→ingest ring (jobs > 1). Stall
-// attribution: push stalls mean ingestion was the bottleneck (the ring
-// backpressured decode), pop stalls mean decode was.
-struct GovernedPipelineStats {
-  bool used = false;
-  std::uint64_t push_stalls = 0;
-  std::uint64_t pop_stalls = 0;
-  double push_stall_seconds = 0;
-  double pop_stall_seconds = 0;
-  double decode_seconds = 0;  // producer-side time spent decoding blocks
 };
 
 }  // namespace wolf

@@ -156,10 +156,10 @@ WolfReport analyze_trace(const sim::Program& program, const Trace& trace,
 class Session;  // wolf.hpp — the unified online-analysis facade
 
 // Runs the pipeline on a trace streamed from `reader` through an open
-// wolf::Session: the session ingests (pipelined when its jobs say so) and
-// finishes inside the "phase/detect" span, then classification runs over
-// the resulting detection. Governed sessions land their window reports and
-// verdict in the report. This is the one streaming entry point; with an
+// wolf::Session: the session ingests and finishes inside the
+// "phase/detect" span, then classification runs over the resulting
+// detection. Governed sessions land their window reports and verdict in the
+// report. This is the one streaming entry point; with an
 // ungoverned session it produces the same report as analyze_trace over the
 // equivalent materialized trace (a mid-stream reader failure — reader.ok()
 // false afterwards — analyzes the prefix delivered).

@@ -116,12 +116,6 @@ class LockGraph {
   // last drain. Clears the dirty set — benign components' marks are
   // consumed too, so a drain with an empty result still means "caught up".
   std::vector<LockId> drain_dirty_suspicious_locks();
-  // Component-grained twin: one lock list per dirty suspicious component, in
-  // drain order. Components partition the lock graph, so the lists are
-  // disjoint and each is an independent enumeration domain — the unit of the
-  // governor's per-SCC detection fan-out (DESIGN.md §17). Flattening them
-  // yields exactly what drain_dirty_suspicious_locks() would have returned.
-  std::vector<std::vector<LockId>> drain_dirty_suspicious_components();
   // True when a drain would observe any change since the last one.
   bool has_dirty() const;
 

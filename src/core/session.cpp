@@ -2,15 +2,13 @@
 //
 // Governed sessions delegate to the Governor (core/governor.hpp);
 // ungoverned ones keep an unbounded LockDependencyBuilder and enumerate once
-// in finish(), exactly like detect_reader. ingest() owns the decode→ingest
-// pipelining both modes share.
+// in finish(), exactly like detect_reader.
 
 #include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "support/thread_pool.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
 
@@ -30,9 +28,6 @@ struct LiveCollector {
 
 struct Session::Impl {
   bool finished = false;
-  int jobs = 1;
-  std::size_t pipeline_depth = 0;
-  GovernedPipelineStats pipeline;
 
   // Governed mode (null when ungoverned).
   std::unique_ptr<Governor> gov;
@@ -64,8 +59,6 @@ Session Session::open(const Config& config) {
 
   Session s;
   Impl& impl = *s.impl_;
-  impl.jobs = config.jobs;
-  impl.pipeline_depth = config.pipeline_depth;
   if (!config.governed()) {
     impl.detector = config.wolf_options().detector;
     return s;
@@ -119,30 +112,8 @@ bool Session::feed(const std::vector<Event>& events) {
 }
 
 void Session::ingest(TraceReader& reader) {
-  const int jobs =
-      impl_->jobs <= 0 ? ThreadPool::hardware_jobs() : impl_->jobs;
   std::vector<Event> block;
-  if (jobs > 1) {
-    // Stage pipelining (DESIGN.md §17): decode on a producer thread, ingest
-    // here. The bounded ring preserves block order and contents — identical
-    // event delivery to the serial drain — and its backpressure is what
-    // keeps per-session memory flat when the producer outruns detection.
-    const std::size_t depth =
-        impl_->pipeline_depth != 0
-            ? impl_->pipeline_depth
-            : std::max<std::size_t>(4, 2 * static_cast<std::size_t>(jobs));
-    PipelinedTraceReader piped(reader, depth);
-    while (piped.next_block(block)) feed(block);
-    const PipelinedTraceReader::Stats stats = piped.stats();
-    impl_->pipeline.used = true;
-    impl_->pipeline.push_stalls += stats.push_stalls;
-    impl_->pipeline.pop_stalls += stats.pop_stalls;
-    impl_->pipeline.push_stall_seconds += stats.push_stall_seconds;
-    impl_->pipeline.pop_stall_seconds += stats.pop_stall_seconds;
-    impl_->pipeline.decode_seconds += stats.decode_seconds;
-  } else {
-    while (reader.next_block(block)) feed(block);
-  }
+  while (reader.next_block(block)) feed(block);
 }
 
 std::vector<SessionCycle> Session::poll() {
@@ -178,7 +149,6 @@ Session::Verdict Session::finish() {
   assert(!impl_->finished && "finish() called twice");
   Verdict v;
   v.governed = governed();
-  v.pipeline = impl_->pipeline;
   if (impl_->gov) {
     v.detection = impl_->gov->finish();
     v.windows = impl_->gov->windows();

@@ -51,6 +51,9 @@ struct FaultPlan {
   // (< 0 disables) — exercises per-window fault containment
   // (core/governor.hpp).
   int detect_throw_window = -1;
+  // The governed detector throws inside its final enumeration
+  // (Governor::finish) — the fault that must clear coverage_complete.
+  bool detect_throw_final = false;
 
   // corrupt_trace_text(): keep only this fraction of the serialized
   // characters (< 0 disables; mid-line cuts model a crashed recorder).

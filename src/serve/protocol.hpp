@@ -7,6 +7,9 @@
 //   WOLFSERVE/1 status
 //   WOLFSERVE/1 stop
 //
+// `jobs` is accepted, validated and echoed for compatibility with existing
+// clients, but sessions detect serially, so it no longer changes a session.
+//
 // After a `session` hello the client streams a v3 (or v1/v2) trace as raw
 // bytes on the same connection and half-closes its write side; everything
 // the server says back is newline-delimited JSON, one object per line:

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "obs/counters.hpp"
@@ -27,6 +26,9 @@ const obs::Counter c_failed("serve.sessions_failed", /*stable=*/false);
 const obs::Counter c_rejected("serve.sessions_rejected", /*stable=*/false);
 const obs::Counter c_events("serve.events_ingested", /*stable=*/false);
 const obs::Counter c_live("serve.live_cycles_streamed", /*stable=*/false);
+
+// Blocks each session's decode→ingest ring holds (DESIGN.md §17).
+constexpr std::size_t kDecodeRingDepth = 4;
 
 double p99_window_seconds(const std::vector<WindowReport>& windows) {
   if (windows.empty()) return 0;
@@ -283,15 +285,6 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   // reader gives torn and corrupted streams the same treatment as damaged
   // files — keep every intact block, diagnose the rest, never throw.
   StreamTraceReader raw(in, StreamTraceReader::Mode::kSalvage);
-  TraceReader* source = &raw;
-  std::optional<PipelinedTraceReader> piped;
-  if (options.pipeline_depth >= 2) {
-    // Per-client backpressure: decode may run at most pipeline_depth blocks
-    // ahead of detection; past that the producer parks and the kernel
-    // socket buffer fills, pushing back on the client itself.
-    piped.emplace(raw, options.pipeline_depth);
-    source = &*piped;
-  }
 
   Stopwatch wall;
   bool deadline_hit = false;
@@ -301,38 +294,42 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   {
     obs::Span ingest_span(&e->spans, "session/ingest");
     Stopwatch ingest_clock;
-    std::vector<Event> block;
-    while (source->next_block(block)) {
-      session.feed(block);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        e->events = session.events_seen();
-        ++e->blocks;
-        e->bytes_in = inbuf.bytes_read();
-        e->windows = session.windows_closed();
-      }
-      if (cfg.live && live_ok) {
-        for (const SessionCycle& c : session.poll()) {
-          if (!write_all(fd.get(), live_line(c))) {
-            live_ok = false;  // client stopped listening; keep analyzing
-            break;
+    {
+      // Per-client backpressure: decode runs on a producer thread at most
+      // kDecodeRingDepth blocks ahead of detection; past that the producer
+      // parks and the kernel socket buffer fills, pushing back on the client
+      // itself.
+      PipelinedTraceReader piped(raw, kDecodeRingDepth);
+      std::vector<Event> block;
+      while (piped.next_block(block)) {
+        session.feed(block);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          e->events = session.events_seen();
+          ++e->blocks;
+          e->bytes_in = inbuf.bytes_read();
+          e->windows = session.windows_closed();
+        }
+        if (cfg.live && live_ok) {
+          for (const SessionCycle& c : session.poll()) {
+            if (!write_all(fd.get(), live_line(c))) {
+              live_ok = false;  // client stopped listening; keep analyzing
+              break;
+            }
+            ++live_written;
+            c_live.add();
           }
-          ++live_written;
-          c_live.add();
+        }
+        if (options.session_deadline_ms > 0 &&
+            wall.seconds() * 1000.0 >
+                static_cast<double>(options.session_deadline_ms)) {
+          deadline_hit = true;
+          break;
         }
       }
-      if (options.session_deadline_ms > 0 &&
-          wall.seconds() * 1000.0 >
-              static_cast<double>(options.session_deadline_ms)) {
-        deadline_hit = true;
-        break;
-      }
-    }
-    if (deadline_hit && piped.has_value()) {
       // The producer may be parked in recv(); end its read before joining.
-      shutdown_read(fd.get());
-    }
-    piped.reset();  // join the producer; ring stats are final after this
+      if (deadline_hit) shutdown_read(fd.get());
+    }  // joins the producer
     ingest_seconds = ingest_clock.seconds();
   }
 

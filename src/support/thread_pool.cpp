@@ -8,8 +8,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,23 +18,13 @@ namespace wolf {
 namespace {
 
 // pool.tasks counts fn invocations (serial path included) and pool.batches
-// counts parallel_for_each calls; both depend on the jobs level (the cycle
-// engine bypasses the pool entirely at jobs=1), and pool.parks — a worker
+// counts parallel_for_each calls; both depend on the jobs level (callers
+// may bypass the pool entirely at jobs=1), and pool.parks — a worker
 // finding the queue momentarily empty — depends on raw scheduling, so all
 // three are registered non-stable and excluded from byte-stable reports.
 const obs::Counter kTasks("pool.tasks", /*stable=*/false);
 const obs::Counter kBatches("pool.batches", /*stable=*/false);
 const obs::Counter kParks("pool.parks", /*stable=*/false);
-
-// Injected task fault (ThreadPool::inject_task_fault): the index whose task
-// throws, or SIZE_MAX when unset.
-std::atomic<std::size_t> g_fault_index{std::numeric_limits<std::size_t>::max()};
-
-void maybe_throw_task_fault(std::size_t index) {
-  if (index == g_fault_index.load(std::memory_order_relaxed))
-    throw std::runtime_error("injected pool task fault (index " +
-                             std::to_string(index) + ")");
-}
 
 // Shared state of one parallel_for_each call. Owned via shared_ptr by the
 // caller and by every queued drain task, so a worker that finishes last can
@@ -68,7 +56,6 @@ struct Batch {
       if (i >= count) return;
       kTasks.add();
       try {
-        maybe_throw_task_fault(i);
         (*fn)(i);
       } catch (...) {
         record_error(i);
@@ -126,15 +113,6 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-void ThreadPool::inject_task_fault(std::size_t index) {
-  g_fault_index.store(index, std::memory_order_relaxed);
-}
-
-void ThreadPool::clear_task_fault() {
-  g_fault_index.store(std::numeric_limits<std::size_t>::max(),
-                      std::memory_order_relaxed);
-}
-
 int ThreadPool::hardware_jobs() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
@@ -152,7 +130,6 @@ void ThreadPool::parallel_for_each(
     for (std::size_t i = 0; i < count; ++i) {
       kTasks.add();
       try {
-        maybe_throw_task_fault(i);
         fn(i);
       } catch (...) {
         if (i < error_index) {

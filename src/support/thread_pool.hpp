@@ -3,7 +3,7 @@
 // Deliberately work-stealing-free: a batch is an index range [0, count)
 // drained through one shared atomic cursor, so the only scheduling decision
 // is "who grabs the next index". That is enough for the pipeline's fan-out
-// (independent cycles, independent runs) and keeps the pool small enough to
+// (independent cycles, independent runs, indexed v3 blocks) and keeps the pool small enough to
 // reason about under TSan.
 //
 // Semantics of parallel_for_each:
@@ -44,13 +44,6 @@ class ThreadPool {
   // captured exception, if any.
   void parallel_for_each(std::size_t count,
                          const std::function<void(std::size_t)>& fn);
-
-  // Fault injection (tests, chaos campaign): task `index` of every batch —
-  // serial path included — throws before fn runs, until cleared. The hook
-  // is a single relaxed atomic index, so it is TSan-clean and free when
-  // unset. Exercises exactly the exception contract documented above.
-  static void inject_task_fault(std::size_t index);
-  static void clear_task_fault();
 
  private:
   struct Impl;

@@ -35,7 +35,6 @@
 // index → sequential scan, no parallelism → serial decode.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <iosfwd>
@@ -196,11 +195,11 @@ class StreamTraceReader final : public TraceReader {
   std::size_t last_block_end_ = 0;
 };
 
-// Stage-pipelining adapter (DESIGN.md §17): moves a source reader's block
+// Stage-pipelining adapter (DESIGN.md §17), used by the serve sidecar to
+// decode each session's socket bytes: moves a source reader's block
 // production onto a dedicated producer thread, handing decoded blocks to the
 // caller through a bounded SPSC ring. The consumer (detection ingest) and
-// the producer (mmap'd decode — itself possibly parallel via the source's
-// jobs option) then overlap instead of serializing turn-by-turn.
+// the producer (decode) then overlap instead of serializing turn-by-turn.
 //
 // Delivery is trivially bit-identical to draining the source directly: the
 // ring preserves block order and block contents, and next_block() returns
@@ -217,24 +216,13 @@ class StreamTraceReader final : public TraceReader {
 // again and reflect the whole stream.
 class PipelinedTraceReader final : public TraceReader {
  public:
-  struct Stats {
-    std::uint64_t push_stalls = 0;   // producer waited on a full ring
-    std::uint64_t pop_stalls = 0;    // consumer waited on an empty ring
-    double push_stall_seconds = 0;
-    double pop_stall_seconds = 0;
-    double decode_seconds = 0;       // producer time inside source.next_block
-  };
-
-  explicit PipelinedTraceReader(TraceReader& source, std::size_t depth = 8);
+  PipelinedTraceReader(TraceReader& source, std::size_t depth);
   ~PipelinedTraceReader() override;
 
   PipelinedTraceReader(const PipelinedTraceReader&) = delete;
   PipelinedTraceReader& operator=(const PipelinedTraceReader&) = delete;
 
   bool next_block(std::vector<Event>& out) override;
-
-  // Safe to call at any time; exact once next_block() has returned false.
-  Stats stats() const;
 
  private:
   void produce();
@@ -252,7 +240,6 @@ class PipelinedTraceReader final : public TraceReader {
   // of being silently swallowed (error_delivered_ tells the two apart).
   std::exception_ptr producer_error_;
   bool error_delivered_ = false;
-  std::atomic<std::uint64_t> decode_nanos_{0};
 };
 
 }  // namespace wolf

@@ -7,15 +7,17 @@
 // ::report). validate() reports misconfigurations before a run burns time
 // on them; the *_options() exploders produce the per-stage structs the
 // pipeline entry points take, with the shared scalars folded in (a shared
-// scalar always wins over the section field it shadows, so setting
-// Config::jobs configures both enumeration and classification).
+// scalar always wins over the section field it shadows, e.g. deadline_ms
+// over replay.retry.attempt_deadline_ms).
 //
 // Batch analysis is run()/analyze() below. Online analysis — feeding events
 // as they happen, from a trace file, a live program, or a serve client —
 // has exactly one entry point: wolf::Session::open(Config), then
 // feed/poll/finish (declared below). Config::governed() picks between the
 // unbounded batch-equivalent session and the windowed, budgeted one of
-// core/governor.hpp; both return the same Verdict.
+// core/governor.hpp; both return the same Verdict. Detection — batch, per
+// window and final — is one serial pass on the calling thread; Config::jobs
+// parallelizes only classification and indexed v3 decode.
 #pragma once
 
 #include <memory>
@@ -34,7 +36,7 @@ namespace wolf {
 // One finding from Config::validate(). Fatal issues make the configuration
 // unusable (an exploded run would crash or silently do nothing); non-fatal
 // ones flag conflicting settings where one silently wins (e.g. a
-// pipeline_depth that jobs=1 never uses).
+// deadline_ms that shadows replay.retry.attempt_deadline_ms).
 struct ConfigIssue {
   bool fatal = false;
   std::string message;
@@ -43,9 +45,10 @@ struct ConfigIssue {
 struct Config {
   // ---- shared scalars, read by every stage ------------------------------
   std::uint64_t seed = 2014;
-  // Parallelism of enumeration and classification: 0 = hardware
-  // concurrency, 1 = the serial pipeline. Reports are identical at every
-  // level. Overrides detector.jobs and the per-run jobs split.
+  // Parallelism of classification and of indexed v3 decode (the caller's
+  // StreamTraceReader options): 0 = hardware concurrency, 1 = the serial
+  // pipeline. Detection is always serial. Reports are identical at every
+  // level. Overrides the per-run jobs split.
   int jobs = 0;
   // Per-trial wall-clock budget in ms (0 = unlimited). Arms the rt watchdog
   // and the recording retry deadline. Overrides replay.retry and
@@ -78,11 +81,6 @@ struct Config {
   // Per-window detection deadline in ms (0 = no deadline; the degradation
   // ladder never demotes).
   std::int64_t window_deadline_ms = 0;
-  // Depth, in blocks, of the governed decode→ingest ring (DESIGN.md §17)
-  // when jobs > 1 pipelines ingestion: the backpressure bound on how far
-  // decode may run ahead of detection. 0 = auto (derived from jobs). Values
-  // below 2 cannot overlap anything and are rejected by validate().
-  std::size_t pipeline_depth = 0;
   // Live cycle surfacing: called once per first-sighted cycle at window
   // granularity (`wolf analyze --live`). Setting it switches analysis onto
   // the governed path; it never changes the final result.
@@ -142,24 +140,23 @@ struct SessionCycle {
 // always-on service needs: a malformed event *poisons* the session (feed
 // returns false, ingestion stops, the verdict is honestly incomplete)
 // instead of propagating out of feed, and governed finish() never throws.
-// Results are byte-identical at every jobs level.
+// Detection runs serially on the calling thread, so Config::jobs never
+// changes a session's results or its threads.
 //
 // A Session is single-owner state, not a thread-safe object: feed, poll and
 // finish must be externally serialized (the serve sidecar gives each
-// session its own thread; internal enumeration parallelism via jobs is the
-// session's own business).
+// session its own thread).
 class Session {
  public:
   // Everything finish() knows, in one struct. `detection` is authoritative;
   // `governor.coverage_complete` is the honesty bit (true iff the detection
   // provably equals batch analysis of the same event stream — ungoverned
-  // sessions set it false only when poisoned). `windows` and `pipeline` are
-  // empty/unused for ungoverned sessions.
+  // sessions set it false only when poisoned). `windows` is empty for
+  // ungoverned sessions.
   struct Verdict {
     Detection detection;
     std::vector<WindowReport> windows;
     GovernorVerdict governor;
-    GovernedPipelineStats pipeline;
     bool governed = false;
   };
 
@@ -182,12 +179,8 @@ class Session {
   bool feed(const Event& e);
   bool feed(const std::vector<Event>& events);
 
-  // Drains a TraceReader through feed(). With jobs > 1 the blocks are
-  // decoded on a producer thread behind the bounded ring
-  // (trace/PipelinedTraceReader) — the per-client backpressure that keeps
-  // memory flat no matter how far a fast producer runs ahead; stats land in
-  // Verdict::pipeline. Event delivery is order- and content-identical to a
-  // serial drain. Keeps draining after poisoning (the reader is left at
+  // Drains a TraceReader through feed(), one next_block() at a time on the
+  // calling thread. Keeps draining after poisoning (the reader is left at
   // end-of-stream either way, so stream diagnostics stay meaningful).
   void ingest(TraceReader& reader);
 

@@ -5,9 +5,8 @@
 // in a random format, corrupted by a random combination of byte-level
 // faults (torn write, bit flips, text garbling, fractional truncation),
 // salvage-read, and finally analyzed by the governed detector under random
-// memory budgets, window sizes, deadlines, parallelism levels
-// (GovernorOptions::jobs ∈ {1, 2, 4}) and injected detection faults —
-// per-window throws and thread-pool task faults included.
+// memory budgets, window sizes, deadlines and injected detection faults —
+// per-window throws and final-enumeration throws included.
 //
 // The invariant under EVERY schedule:
 //
@@ -30,7 +29,6 @@
 #include "core/governor.hpp"
 #include "robust/fault.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "testutil.hpp"
 #include "trace/serialize.hpp"
 
@@ -49,7 +47,6 @@ struct Schedule {
   robust::FaultPlan corruption;  // applied to the serialized bytes
   robust::FaultPlan detection;   // applied inside the governed detector
   GovernorOptions governor;
-  bool pool_fault = false;
 };
 
 // Draws one randomized fault schedule. Every knob is independent, so the
@@ -74,20 +71,17 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
 
   if (rng.chance(0.4))
     s.detection.detect_throw_window = static_cast<int>(rng.below(8));
-  s.pool_fault = rng.chance(0.15);
+  s.detection.detect_throw_final = rng.chance(0.15);
 
   s.governor.window_events = 8 + rng.below(120);
   if (rng.chance(0.4))
     s.governor.memory_budget_mb = 1;  // tiny: forces compaction/aging
   if (rng.chance(0.3)) s.governor.window_deadline_ms = 1 + rng.below(20);
-  s.governor.detector.jobs = rng.chance(0.3) ? 2 : 1;
-  // Governed-ingestion parallelism (DESIGN.md §17): the per-SCC window
-  // fan-out must uphold the honesty contract under every fault schedule,
-  // so the campaign randomizes it across {1, 2, 4}.
-  const int jobs_levels[] = {1, 2, 4};
-  s.governor.jobs = jobs_levels[rng.below(3)];
-  // Unused draw, kept so every seed's later draws — and so its fault mix —
-  // stay what they were when this slot picked the window-enumeration path.
+  // Unused draws, kept so every seed's later draws — and so its fault mix —
+  // stay what they were when these slots picked the enumeration and window
+  // parallelism and the window-enumeration path.
+  (void)rng.chance(0.3);
+  (void)rng.below(3);
   (void)rng.chance(0.5);
   // NOTE: governor.fault is wired by the caller — pointing it at s.detection
   // here would dangle once the Schedule is returned by value.
@@ -126,11 +120,9 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   Detection reference = detect(salvaged.trace, reference_options);
 
   // Governed run under the full fault schedule.
-  if (schedule.pool_fault) ThreadPool::inject_task_fault(0);
   Governor governed(schedule.governor);
   for (const Event& e : salvaged.trace.events) governed.add(e);
   Detection detection = governed.finish();
-  ThreadPool::clear_task_fault();
   GovernorVerdict verdict = governed.verdict();
 
   // Structural consistency of the verdict, under every schedule.
@@ -149,11 +141,14 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   }
   EXPECT_EQ(evicted, verdict.tuples_evicted);
   EXPECT_EQ(degraded, verdict.degraded_windows);
-  // Eviction is always lossy. (A pool fault is NOT asserted here: it only
-  // fires when enumeration actually engages the pool — jobs>1 and several
-  // nontrivial SCC starts — which depends on the random graph.)
+  // Eviction is always lossy, and a drawn final-enumeration fault always
+  // fires and always loses coverage.
   if (verdict.tuples_evicted > 0) {
     EXPECT_FALSE(verdict.coverage_complete);
+  }
+  if (schedule.detection.detect_throw_final) {
+    EXPECT_FALSE(verdict.coverage_complete);
+    EXPECT_TRUE(detection.cycles.empty());
   }
 
   // The honesty contract: complete coverage means the answer IS the batch
@@ -187,9 +182,8 @@ INSTANTIATE_TEST_SUITE_P(Schedules, ChaosTest, ::testing::Range(0, 120));
 // runs the compaction/eviction removal hooks that drive DynamicScc edge
 // expiry. Each schedule checks the governed run against its oracle, batch
 // detection of the same stream: complete coverage must mean batch's exact
-// cycles, an eviction-free run must have surfaced batch's signatures live,
-// and the compaction/eviction bookkeeping must be identical whether the
-// run is serial or fans out at the drawn jobs level.
+// cycles, and an eviction-free run must have surfaced batch's signatures
+// live.
 class ExpiryChaosTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
@@ -240,11 +234,10 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
   GovernorOptions options;
   options.window_events = 16 + rng.below(112);
   options.memory_budget_mb = 1;
-  options.detector.jobs = rng.chance(0.3) ? 2 : 1;
-  // Churn + eviction + per-SCC fan-out together: the store renumbering
-  // between windows must stay invisible at every jobs level.
-  const int jobs_levels[] = {1, 2, 4};
-  options.jobs = jobs_levels[rng.below(3)];
+  // Unused draws, kept so every seed's schedule stays what it was when
+  // these slots picked the enumeration and window parallelism.
+  (void)rng.chance(0.3);
+  (void)rng.below(3);
 
   Detection reference = detect(trace, options.detector);
 
@@ -268,21 +261,6 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
   if (governed.verdict().tuples_evicted == 0) {
     EXPECT_EQ(live, signatures_of(reference));
   }
-
-  // Jobs differential: the same schedule run serially must do the identical
-  // store governance.
-  options.on_cycle = nullptr;
-  options.jobs = 1;
-  options.detector.jobs = 1;
-  Governor serial(options);
-  for (const Event& e : trace.events) serial.add(e);
-  Detection serial_det = serial.finish();
-  EXPECT_EQ(signatures_of(det), signatures_of(serial_det));
-  EXPECT_EQ(det.cycles.size(), serial_det.cycles.size());
-  EXPECT_EQ(governed.verdict().coverage_complete,
-            serial.verdict().coverage_complete);
-  EXPECT_EQ(governed.verdict().tuples_evicted, serial.verdict().tuples_evicted);
-  EXPECT_EQ(governed.verdict().tuples_compacted, serial.verdict().tuples_compacted);
 
   // The budget genuinely bit (that is the point of this family), so the
   // verdict must say so — and degraded output never fabricates defects.

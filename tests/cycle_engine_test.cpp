@@ -1,15 +1,14 @@
 // Differential tests of the cycle enumeration engine (DESIGN.md §12):
 //
-//   equivalence — the SCC engine (serial and parallel) emits the
-//                 bit-identical cycle sequence of the reference DFS oracle
-//                 (testutil.hpp), over fixed workloads and randomized
-//                 programs, with and without magic_prune, and at the
+//   equivalence — the SCC engine emits the bit-identical cycle sequence of
+//                 the reference DFS oracle (testutil.hpp), over fixed
+//                 workloads and randomized programs, and at every
 //                 max_cycles cap;
 //   clock cut   — with clock_prune_during_search, the emitted cycles equal
 //                 the order-preserving subsequence of the full enumeration
 //                 that survives Algorithm 2's prune();
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
-//                 at every jobs level and in the oracle.
+//                 in the engine and in the oracle.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -27,11 +26,9 @@
 namespace wolf {
 namespace {
 
-DetectorOptions options_for(int jobs, bool magic, bool clock_prune = false,
+DetectorOptions options_for(bool clock_prune = false,
                             std::size_t max_cycles = 100000) {
   DetectorOptions options;
-  options.jobs = jobs;
-  options.magic_prune = magic;
   options.clock_prune_during_search = clock_prune;
   options.max_cycles = max_cycles;
   return options;
@@ -58,18 +55,14 @@ void expect_equivalent(const Detection& a, const Detection& b,
   }
 }
 
-// Runs the reference oracle vs the scc engine (at jobs=1 and jobs=4) on one
-// trace and asserts bit-identity; returns the reference detection for
-// further checks.
-Detection check_engines_agree(const Trace& trace, bool magic,
+// Runs the reference oracle vs the scc engine on one trace and asserts
+// bit-identity; returns the reference detection for further checks.
+Detection check_engines_agree(const Trace& trace,
                               std::size_t max_cycles = 100000) {
   Detection ref =
-      test::detect_reference(trace, options_for(1, magic, false, max_cycles));
-  Detection scc1 = detect(trace, options_for(1, magic, false, max_cycles));
-  Detection scc4 = detect(trace, options_for(4, magic, false, max_cycles));
-  expect_equivalent(ref, scc1, "reference vs scc jobs=1");
-  expect_equivalent(ref, scc4, "reference vs scc jobs=4");
-  expect_equivalent(scc1, scc4, "scc jobs=1 vs jobs=4");
+      test::detect_reference(trace, options_for(false, max_cycles));
+  expect_equivalent(ref, detect(trace, options_for(false, max_cycles)),
+                    "reference vs scc");
   return ref;
 }
 
@@ -89,8 +82,7 @@ TEST(CycleEngineTest, EnginesAgreeOnSuiteWorkloads) {
     SCOPED_TRACE(name);
     Trace trace = record_workload(name);
     if (trace.empty()) continue;
-    Detection ref = check_engines_agree(trace, /*magic=*/false);
-    check_engines_agree(trace, /*magic=*/true);
+    Detection ref = check_engines_agree(trace);
     EXPECT_FALSE(ref.truncated);
     EXPECT_EQ(ref.cycle_cap, 0u);
   }
@@ -101,19 +93,19 @@ TEST(CycleEngineTest, EnginesAgreeOnPhilosophersRing) {
   auto program = workloads::make_philosophers(5).program;
   auto trace = sim::record_trace(program, 7, 60);
   ASSERT_TRUE(trace.has_value());
-  Detection ref = check_engines_agree(*trace, /*magic=*/false);
+  Detection ref = check_engines_agree(*trace);
   EXPECT_FALSE(ref.cycles.empty());
 }
 
 TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
   Trace trace = record_workload("HashMap");
   ASSERT_FALSE(trace.empty());
-  Detection full = test::detect_reference(trace, options_for(1, false));
+  Detection full = test::detect_reference(trace, options_for());
   ASSERT_GE(full.cycles.size(), 2u) << "workload too small for a cap test";
 
   for (std::size_t cap = 1; cap <= full.cycles.size(); ++cap) {
     SCOPED_TRACE(cap);
-    Detection ref = check_engines_agree(trace, /*magic=*/false, cap);
+    Detection ref = check_engines_agree(trace, cap);
     EXPECT_EQ(ref.cycles.size(), cap);
     EXPECT_TRUE(ref.truncated);
     EXPECT_EQ(ref.cycle_cap, cap);
@@ -125,22 +117,17 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
 
 // With the in-search clock cut, the emitted cycles must be exactly the
 // order-preserving subsequence of the full enumeration that prune() keeps.
-void check_clock_prune(const Trace& trace, bool magic) {
-  Detection full = detect(trace, options_for(1, magic));
+void check_clock_prune(const Trace& trace) {
+  Detection full = detect(trace, options_for());
   const std::vector<PruneVerdict> verdicts = prune(full);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < full.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(full.cycles[i]);
 
-  for (int jobs : {1, 4}) {
-    SCOPED_TRACE(jobs);
-    Detection cut =
-        detect(trace, options_for(jobs, magic, /*clock_prune=*/true));
-    expect_same_cycles(survivors, cut.cycles,
-                       "prune() survivors vs clock cut");
-    // Everything emitted under the cut survives a batch prune.
-    for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
-  }
+  Detection cut = detect(trace, options_for(/*clock_prune=*/true));
+  expect_same_cycles(survivors, cut.cycles, "prune() survivors vs clock cut");
+  // Everything emitted under the cut survives a batch prune.
+  for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
 }
 
 TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
@@ -148,8 +135,7 @@ TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
     SCOPED_TRACE(name);
     Trace trace = record_workload(name);
     if (trace.empty()) continue;
-    check_clock_prune(trace, /*magic=*/false);
-    check_clock_prune(trace, /*magic=*/true);
+    check_clock_prune(trace);
   }
 }
 
@@ -163,12 +149,12 @@ TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
   EXPECT_FALSE(empty.truncated);
 
   Trace trace = record_workload("LinkedList");
-  if (!trace.empty()) check_engines_agree(trace, /*magic=*/false);
+  if (!trace.empty()) check_engines_agree(trace);
 }
 
 // Randomized differential test: random programs with varying shape, fork/join
-// structure and lock nesting; every jobs/magic combination must agree with
-// the oracle, and the clock cut must match the batch pruner.
+// structure and lock nesting; the engine must agree with the oracle, and the
+// clock cut must match the batch pruner.
 class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
@@ -187,13 +173,11 @@ TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
   auto trace = sim::record_trace(program, rng(), 40);
   if (!trace.has_value()) GTEST_SKIP() << "every recording run deadlocked";
 
-  Detection ref = check_engines_agree(*trace, /*magic=*/false);
-  check_engines_agree(*trace, /*magic=*/true);
-  check_clock_prune(*trace, /*magic=*/false);
+  Detection ref = check_engines_agree(*trace);
+  check_clock_prune(*trace);
 
   // Re-run capped at half the cycles: truncation must match the oracle.
-  if (ref.cycles.size() >= 2)
-    check_engines_agree(*trace, /*magic=*/false, ref.cycles.size() / 2);
+  if (ref.cycles.size() >= 2) check_engines_agree(*trace, ref.cycles.size() / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleEnginePropertyTest,

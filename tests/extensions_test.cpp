@@ -1,15 +1,14 @@
-// Tests for the paper's discussed extensions: defect ranking (§4.4),
-// MagicFuzzer-style tuple pruning (§5), and multi-input analysis (§4.4).
+// Tests for the paper's discussed extensions: defect ranking (§4.4) and
+// multi-input analysis (§4.4). MagicFuzzer-style tuple pruning (§5) is
+// subsumed by the cycle engine's tuple-SCC partition (cycle_engine_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "core/magic_prune.hpp"
 #include "core/multi.hpp"
 #include "core/ranking.hpp"
 #include "sim/scheduler.hpp"
-#include "workloads/cache4j.hpp"
 #include "workloads/collections.hpp"
 #include "workloads/paper_examples.hpp"
 
@@ -78,125 +77,6 @@ TEST(RankingTest, FormatListsEveryDefectOnce) {
 TEST(RankingTest, EmptyReportYieldsEmptyRanking) {
   WolfReport report;
   EXPECT_TRUE(rank_defects(report).empty());
-}
-
-// ---------------------------------------------------------------- magic prune
-
-TEST(MagicPruneTest, PreservesCycleSetExactly) {
-  for (const char* kind : {"ArrayList", "HashMap"}) {
-    auto w = std::string(kind) == "ArrayList"
-                 ? workloads::make_collections_list(kind)
-                 : workloads::make_collections_map(kind);
-    auto trace = sim::record_trace(w.program, 7);
-    ASSERT_TRUE(trace.has_value());
-
-    DetectorOptions plain;
-    DetectorOptions pruned;
-    pruned.magic_prune = true;
-    Detection a = detect(*trace, plain);
-    Detection b = detect(*trace, pruned);
-
-    auto signatures = [](const Detection& det) {
-      std::multiset<DefectSignature> sigs;
-      for (const PotentialDeadlock& c : det.cycles)
-        sigs.insert(signature_of(c, det.dep));
-      return sigs;
-    };
-    EXPECT_EQ(signatures(a), signatures(b)) << kind;
-  }
-}
-
-TEST(MagicPruneTest, RemovesIrrelevantTuples) {
-  // cache4j has plenty of acquisitions and no cycles: everything prunes.
-  auto trace = sim::record_trace(workloads::make_cache4j(), 3);
-  ASSERT_TRUE(trace.has_value());
-  LockDependency dep = LockDependency::from_trace(*trace);
-  MagicPruneStats stats;
-  auto alive = magic_prune(dep, &stats);
-  EXPECT_TRUE(alive.empty());
-  EXPECT_EQ(stats.after, 0u);
-  EXPECT_GT(stats.before, 0u);
-  EXPECT_DOUBLE_EQ(stats.reduction(), 1.0);
-}
-
-TEST(MagicPruneTest, KeepsCycleTuplesOnMixedTraces) {
-  // A deadlocking pair buried in a pile of benign single-lock traffic: the
-  // cycle tuples survive, the noise goes.
-  sim::Program p;
-  LockId a = p.add_lock("A", p.site("alloc", 1));
-  LockId b = p.add_lock("B", p.site("alloc", 2));
-  LockId noise = p.add_lock("N", p.site("alloc", 3));
-  ThreadId main = p.add_thread("main");
-  ThreadId t1 = p.add_thread("t1");
-  ThreadId t2 = p.add_thread("t2");
-  for (int i = 0; i < 10; ++i) {
-    p.lock(t1, noise, p.site("t1.noise", 10 + i));
-    p.unlock(t1, noise, p.site("t1.noise.x", 30 + i));
-  }
-  p.lock(t1, a, p.site("t1.a", 1));
-  p.lock(t1, b, p.site("t1.b", 2));
-  p.unlock(t1, b, p.site("t1.ub", 3));
-  p.unlock(t1, a, p.site("t1.ua", 4));
-  p.lock(t2, b, p.site("t2.b", 1));
-  p.lock(t2, a, p.site("t2.a", 2));
-  p.unlock(t2, a, p.site("t2.ua", 3));
-  p.unlock(t2, b, p.site("t2.ub", 4));
-  p.start(main, t1, p.site("spawn", 1));
-  p.start(main, t2, p.site("spawn", 1));
-  p.join(main, t1, p.site("join", 1));
-  p.join(main, t2, p.site("join", 1));
-  p.finalize();
-
-  auto trace = sim::record_trace(p, 5);
-  ASSERT_TRUE(trace.has_value());
-  LockDependency dep = LockDependency::from_trace(*trace);
-  MagicPruneStats stats;
-  auto alive = magic_prune(dep, &stats);
-  EXPECT_EQ(alive.size(), 2u);  // exactly the two nested cycle tuples
-  EXPECT_GT(stats.reduction(), 0.5);
-}
-
-TEST(MagicPruneTest, FixpointNeedsMultipleRounds) {
-  // t1 requests B while holding A; t2 holds B but requests C, which nobody
-  // holds — after t2's tuple dies, t1's must die in a second round.
-  sim::Program p;
-  LockId a = p.add_lock("A", p.site("alloc", 1));
-  LockId b = p.add_lock("B", p.site("alloc", 2));
-  LockId c = p.add_lock("C", p.site("alloc", 3));
-  ThreadId main = p.add_thread("main");
-  ThreadId t1 = p.add_thread("t1");
-  ThreadId t2 = p.add_thread("t2");
-  p.lock(t1, a, p.site("t1.a", 1));
-  p.lock(t1, b, p.site("t1.b", 2));
-  p.unlock(t1, b, p.site("t1.ub", 3));
-  p.unlock(t1, a, p.site("t1.ua", 4));
-  p.lock(t2, b, p.site("t2.b", 1));
-  p.lock(t2, c, p.site("t2.c", 2));
-  p.unlock(t2, c, p.site("t2.uc", 3));
-  p.unlock(t2, b, p.site("t2.ub", 4));
-  p.start(main, t1, p.site("spawn", 1));
-  p.start(main, t2, p.site("spawn", 1));
-  p.join(main, t1, p.site("join", 1));
-  p.join(main, t2, p.site("join", 1));
-  p.finalize();
-
-  auto trace = sim::record_trace(p, 5);
-  ASSERT_TRUE(trace.has_value());
-  LockDependency dep = LockDependency::from_trace(*trace);
-  MagicPruneStats stats;
-  auto alive = magic_prune(dep, &stats);
-  EXPECT_TRUE(alive.empty());
-  EXPECT_GE(stats.iterations, 2);
-}
-
-TEST(MagicPruneTest, WithMagicPruneWrapper) {
-  auto w = workloads::make_collections_list("ArrayList");
-  auto trace = sim::record_trace(w.program, 7);
-  ASSERT_TRUE(trace.has_value());
-  LockDependency dep = LockDependency::from_trace(*trace);
-  LockDependency reduced = with_magic_prune(dep);
-  EXPECT_LE(reduced.unique.size(), dep.unique.size());
-  EXPECT_EQ(reduced.tuples.size(), dep.tuples.size());
 }
 
 // ---------------------------------------------------------------- multi-run

@@ -15,16 +15,11 @@
 //     (finish() re-enumerates, coverage stays complete); a fault in the
 //     final enumeration is reported as incomplete coverage, never as a
 //     clean empty report;
-//   * the degradation ladder is a pure function with hysteresis;
-//   * jobs invariance (DESIGN.md §17) — pipelined ingestion and per-SCC
-//     window fan-out are invisible in every observable: cycles, verdict,
-//     notes, window reports and live-cycle sequence numbers are
-//     byte-identical at jobs ∈ {1, 2, 4, hardware}.
+//   * the degradation ladder is a pure function with hysteresis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,7 +29,6 @@
 #include "core/pipeline.hpp"
 #include "core/prefilter.hpp"
 #include "robust/fault.hpp"
-#include "support/thread_pool.hpp"
 #include "testutil.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
@@ -333,10 +327,9 @@ TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
 
 TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   // Pins the Config contract (facade.cpp): jobs + memory_budget is a fully
-  // supported combination, not a warning. The decode→ingest ring is bounded
-  // (pipeline_depth blocks), so a fast decoder parks instead of queueing
-  // unbounded blocks, and the budget is enforced at window boundaries
-  // exactly as in the serial path.
+  // supported combination, not a warning. Sessions detect serially, so
+  // jobs changes nothing about a budgeted session: the budget is enforced
+  // at window boundaries and the verdict is the same at every level.
   Config cfg;
   cfg.jobs = 4;
   cfg.memory_budget_mb = 1;
@@ -346,9 +339,9 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
         << "jobs+budget must not warn: " << issue.message;
   }
 
-  // A stream hot enough to trip eviction under a 1 MiB budget, run through
-  // the pipelined path at several jobs levels: identical verdicts, and the
-  // budget holds for every window at every level.
+  // A stream hot enough to trip eviction under a 1 MiB budget, run at
+  // several jobs levels: identical verdicts, and the budget holds for every
+  // window at every level.
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -368,7 +361,6 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
     config.memory_budget_mb = 1;
     config.window_events = 4096;
     config.jobs = jobs;
-    config.pipeline_depth = 2;  // a tight ring maximizes backpressure
     Session session = Session::open(config);
     VectorTraceReader reader(trace);
     session.ingest(reader);
@@ -378,11 +370,6 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
       EXPECT_LE(w.store_bytes, config.memory_budget_mb << 20)
           << "jobs " << jobs << " window " << w.index;
     EXPECT_GT(v.governor.tuples_evicted, 0u) << "budget never engaged";
-    if (jobs > 1) {
-      // The ring actually ran: bounded hand-off is the mechanism that keeps
-      // jobs+budget memory-safe, so its use must be observable.
-      EXPECT_TRUE(v.pipeline.used);
-    }
 
     if (baseline_summary.empty()) {
       baseline_summary = v.governor.summary();
@@ -420,20 +407,19 @@ TEST(GovernorTest, PerWindowDetectionFaultIsContained) {
 
 TEST(GovernorTest, FinalEnumerationFaultIsIncompleteNotClean) {
   Trace trace = ab_ba_trace(false);
+  robust::FaultPlan fault;
+  fault.detect_throw_final = true;
   GovernorOptions options;
-  options.detector.jobs = 2;  // engage the pool so the task fault fires
+  options.fault = &fault;
   Governor governed(options);
   for (const Event& e : trace.events) governed.add(e);
-
-  ThreadPool::inject_task_fault(0);
   Detection det = governed.finish();
-  ThreadPool::clear_task_fault();
 
   GovernorVerdict verdict = governed.verdict();
   EXPECT_TRUE(det.cycles.empty());
-  // The trailing window's enumeration hits the injected fault too (it is
-  // contained); the final enumeration's is the one that loses coverage.
-  EXPECT_GE(verdict.detection_faults, 1u);
+  // Window detection is unaffected; the final enumeration's fault is the
+  // one that loses coverage.
+  EXPECT_EQ(verdict.detection_faults, 1u);
   EXPECT_FALSE(verdict.coverage_complete)
       << "an empty report after a failed final enumeration must not look "
          "like a clean bill of health";
@@ -568,8 +554,7 @@ TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
   // stream, across window sizes and with a budget tight enough to force
   // compaction + eviction churn: complete coverage means the final cycles
   // ARE batch's (same tuple_idx sequence), a run that evicted nothing
-  // surfaced every batch signature live before finish(), and the honesty
-  // bookkeeping is identical at every jobs level.
+  // surfaced every batch signature live before finish().
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -579,9 +564,18 @@ TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
     trace.events.push_back(acquire(t, 20, site++));
     trace.events.push_back(release(t, 20));
     trace.events.push_back(release(t, 10));
-    if (rep % 50 == 49)  // sprinkle the AB/BA ring through the stream
+    if (rep % 50 == 49) {
+      // Sprinkle the AB/BA ring through the stream, beside a disjoint copy
+      // on {30, 40}: two independent suspicious SCCs in one window, so the
+      // window's single enumeration spans several dirty components.
+      for (Event e : ab_ba_trace(false).events) {
+        if (e.lock == 10) e.lock = 30;
+        if (e.lock == 20) e.lock = 40;
+        trace.events.push_back(e);
+      }
       for (const Event& e : ab_ba_trace(false).events)
         trace.events.push_back(e);
+    }
   }
   for (Event& e : trace.events) e.seq = seq++;
   const Detection batch = detect(trace);
@@ -611,146 +605,6 @@ TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
       if (verdict.tuples_evicted == 0) {
         EXPECT_EQ(live, signatures_of(batch));
       }
-
-      options.on_cycle = nullptr;
-      options.jobs = 4;
-      Governor parallel(options);
-      for (const Event& e : trace.events) parallel.add(e);
-      (void)parallel.finish();
-      EXPECT_EQ(parallel.verdict().coverage_complete,
-                verdict.coverage_complete);
-      EXPECT_EQ(parallel.verdict().tuples_evicted, verdict.tuples_evicted);
-      EXPECT_EQ(parallel.verdict().tuples_compacted,
-                verdict.tuples_compacted);
-    }
-  }
-}
-
-// ---------------------------------------------- jobs invariance (§17)
-
-// Everything the parallel path promises to keep byte-stable, flattened:
-// final cycles, verdict summary + notes, every window report's
-// deterministic fields, and the live-delivery transcript (order AND
-// sequence numbers included).
-std::string run_governed_fingerprint(const Trace& trace,
-                                     GovernorOptions options) {
-  std::ostringstream live;
-  options.on_cycle = [&live](const LiveCycle& lc) {
-    live << "w" << lc.window << " #" << lc.sequence << ' '
-         << lc.cycle->to_string(*lc.dep) << '\n';
-  };
-  Governor governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection det = governed.finish();
-
-  std::ostringstream fp;
-  for (const PotentialDeadlock& c : det.cycles) {
-    fp << "cycle:";
-    for (std::size_t t : c.tuple_idx) fp << t << ',';
-    fp << '\n';
-  }
-  const GovernorVerdict verdict = governed.verdict();
-  fp << verdict.summary() << '\n';
-  for (const std::string& note : verdict.notes) fp << "note: " << note << '\n';
-  for (const WindowReport& w : governed.windows())
-    fp << "w" << w.index << " ev=" << w.events << " live=" << w.tuples_live
-       << " bytes=" << w.store_bytes << " level=" << to_string(w.level)
-       << " susp=" << w.suspicious << " new=" << w.new_cycles
-       << " compacted=" << w.tuples_compacted
-       << " evicted=" << w.tuples_evicted << " note=" << w.note << '\n';
-  fp << live.str();
-  return fp.str();
-}
-
-TEST(GovernorTest, JobsInvarianceAcrossWindowSizesAndBudgets) {
-  // The differential family behind the §17 contract: per-SCC fan-out must
-  // be invisible in every observable — across window sizes, with and
-  // without budget churn (compaction + eviction renumber the store between
-  // windows), and at jobs = 0 (hardware) as well as fixed levels.
-  Trace trace;
-  std::uint64_t seq = 0;
-  SiteId site = 1;
-  for (int rep = 0; rep < 200; ++rep) {
-    const ThreadId t = static_cast<ThreadId>(1 + (rep & 1));
-    trace.events.push_back(acquire(t, 10, site++));
-    trace.events.push_back(acquire(t, 20, site++));
-    trace.events.push_back(release(t, 20));
-    trace.events.push_back(release(t, 10));
-    if (rep % 25 == 24) {
-      // A second, disjoint AB/BA ring on {30, 40}: two independent
-      // suspicious SCCs per window, so the fan-out really has more than
-      // one task to merge back in canonical order.
-      for (Event e : ab_ba_trace(false).events) {
-        if (e.lock == 10) e.lock = 30;
-        if (e.lock == 20) e.lock = 40;
-        trace.events.push_back(e);
-      }
-      for (const Event& e : ab_ba_trace(false).events)
-        trace.events.push_back(e);
-    }
-  }
-  for (Event& e : trace.events) e.seq = seq++;
-
-  for (std::size_t window : {std::size_t{16}, std::size_t{256}}) {
-    for (std::size_t budget_mb : {std::size_t{0}, std::size_t{1}}) {
-      GovernorOptions options;
-      options.window_events = window;
-      options.memory_budget_mb = budget_mb;
-      options.jobs = 1;
-      const std::string base = run_governed_fingerprint(trace, options);
-      EXPECT_NE(base.find("cycle:"), std::string::npos);
-      for (int jobs : {2, 4, 0}) {
-        options.jobs = jobs;
-        EXPECT_EQ(run_governed_fingerprint(trace, options), base)
-            << "window " << window << " budget " << budget_mb << " jobs "
-            << jobs;
-      }
-    }
-  }
-}
-
-TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
-  // Session::ingest at jobs > 1 decodes through the bounded ring; the
-  // governed verdict must not notice.
-  Trace trace;
-  std::uint64_t seq = 0;
-  for (int rep = 0; rep < 100; ++rep)
-    for (const Event& e : ab_ba_trace(false).events)
-      trace.events.push_back(e);
-  for (Event& e : trace.events) e.seq = seq++;
-
-  Config config;
-  config.window_events = 64;
-  config.live = true;  // governed, with no budget or deadline to bite
-  config.jobs = 1;
-  Session serial_session = Session::open(config);
-  VectorTraceReader serial_reader(trace);
-  serial_session.ingest(serial_reader);
-  const Session::Verdict serial = serial_session.finish();
-  EXPECT_FALSE(serial.pipeline.used);
-  ASSERT_FALSE(serial.detection.cycles.empty());
-
-  for (int jobs : {2, 4}) {
-    config.jobs = jobs;
-    Session session = Session::open(config);
-    VectorTraceReader reader(trace);
-    session.ingest(reader);
-    const Session::Verdict piped = session.finish();
-    EXPECT_TRUE(piped.pipeline.used) << jobs;
-    ASSERT_EQ(piped.detection.cycles.size(), serial.detection.cycles.size());
-    for (std::size_t i = 0; i < piped.detection.cycles.size(); ++i)
-      EXPECT_EQ(piped.detection.cycles[i].tuple_idx,
-                serial.detection.cycles[i].tuple_idx);
-    EXPECT_EQ(piped.governor.coverage_complete,
-              serial.governor.coverage_complete);
-    EXPECT_EQ(piped.governor.final_level, serial.governor.final_level);
-    ASSERT_EQ(piped.windows.size(), serial.windows.size());
-    for (std::size_t i = 0; i < piped.windows.size(); ++i) {
-      EXPECT_EQ(piped.windows[i].events, serial.windows[i].events) << i;
-      EXPECT_EQ(piped.windows[i].new_cycles, serial.windows[i].new_cycles)
-          << i;
-      EXPECT_EQ(piped.windows[i].store_bytes, serial.windows[i].store_bytes)
-          << i;
     }
   }
 }

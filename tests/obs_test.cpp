@@ -353,13 +353,12 @@ TEST(ConfigTest, ExplodersFoldTheSharedScalars) {
   WolfOptions wolf = config.wolf_options();
   EXPECT_EQ(wolf.seed, 99u);
   EXPECT_EQ(wolf.jobs, 3);
-  EXPECT_EQ(wolf.detector.jobs, 3);
   EXPECT_EQ(wolf.replay.retry.attempt_deadline_ms, 1234);
 
   MultiRunOptions multi = config.multi_options();
   EXPECT_EQ(multi.seed, 99u);
   EXPECT_EQ(multi.jobs, 3);
-  EXPECT_EQ(multi.wolf.detector.jobs, 3);
+  EXPECT_EQ(multi.wolf.jobs, 3);
 
   rt::ExecutorOptions executor = config.executor_options();
   EXPECT_EQ(executor.seed, 99u);

@@ -1,5 +1,5 @@
 // Unit tests for the support utilities: RNG, stats, tables, flags, strings,
-// and the SPSC ring queue behind pipelined ingestion.
+// and the SPSC ring queue behind serve's decode ring.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/magic_prune.hpp"
 
 namespace wolf::test {
 
@@ -200,14 +199,7 @@ Detection detect_reference(const Trace& trace, const DetectorOptions& options) {
   Detection det;
   det.dep = builder.take_dependency();
   det.clocks = builder.clocks();
-  EnumerationResult res;
-  if (options.magic_prune) {
-    LockDependency reduced = det.dep;
-    reduced.unique = magic_prune(det.dep);
-    res = enumerate_cycles_reference(reduced, options);
-  } else {
-    res = enumerate_cycles_reference(det.dep, options);
-  }
+  EnumerationResult res = enumerate_cycles_reference(det.dep, options);
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? options.max_cycles : 0;

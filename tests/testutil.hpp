@@ -39,14 +39,13 @@ std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
 
 // The original iGoodLock-style DFS over every canonical tuple — the
 // executable specification of the canonical cycle order (detector.hpp) that
-// enumerate_cycles_ex must reproduce bit for bit. Serial and unpruned:
-// options.jobs and options.clock_prune_during_search are ignored.
+// enumerate_cycles_ex must reproduce bit for bit. Unpruned:
+// options.clock_prune_during_search is ignored.
 EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
 // detect() with the reference enumerator in place of the production engine:
-// the same D_σ and clocks, the same magic_prune reduction, the same defect
-// grouping.
+// the same D_σ and clocks, the same defect grouping.
 Detection detect_reference(const Trace& trace, const DetectorOptions& options);
 
 }  // namespace wolf::test

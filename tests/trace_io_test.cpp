@@ -215,7 +215,6 @@ TEST(PipelinedTraceReaderTest, DeliversIdenticalEventsFromVectorSource) {
   VectorTraceReader source(*trace);
   PipelinedTraceReader piped(source, /*depth=*/4);
   EXPECT_EQ(drain(piped), expected);
-  EXPECT_GT(piped.stats().decode_seconds, 0.0);
 }
 
 TEST(PipelinedTraceReaderTest, DeliversIdenticalEventsFromV3Stream) {

@@ -1,7 +1,7 @@
 // wolf — command-line front end to the WOLF pipeline.
 //
 //   wolf record   --workload=HashMap --seed=7 --out=trace.txt [--format=v3]
-//   wolf detect   --workload=HashMap --trace=trace.txt [--magic-prune]
+//   wolf detect   --workload=HashMap --trace=trace.txt [--clock-prune]
 //   wolf analyze  --workload=HashMap [--trace=trace.txt] [--rank]
 //   wolf replay   --workload=HashMap --cycle=2 --attempts=10 [--rt]
 //   wolf convert  trace.txt trace.bin [--format=v1|v2|v3]
@@ -45,18 +45,14 @@
 //
 // --jobs N classifies detected cycles N-way parallel (default 0 = hardware
 // concurrency); reports are identical at every N, and --jobs 1 runs the
-// historical serial pipeline. The same flag parallelizes cycle enumeration,
-// indexed v3 block decode, and — on the governed path — the whole ingestion
-// pipeline: decode overlaps detection through a bounded ring
-// (--pipeline-depth bounds how far it runs ahead), and suspicious windows
-// fan their dirty SCCs out as parallel enumeration tasks. Every output,
-// including governed verdicts and live-cycle order, is identical at every
-// --jobs level.
+// historical serial pipeline. The same flag parallelizes indexed v3 block
+// decode. Detection itself — batch, per window and final — is serial, so
+// every output, including governed verdicts and live-cycle order, is
+// identical at every --jobs level.
 //
 // Detector flags: --max-cycles caps enumeration (a warning is printed when
 // the cap is hit), --clock-prune folds the Pruner's vector-clock test into
-// the search so provably-infeasible branches are never explored, and
-// --magic-prune reduces the tuple set before enumeration.
+// the search so provably-infeasible branches are never explored.
 //
 // The sidecar trio (DESIGN.md §18): `serve` runs the always-on detection
 // server on a unix-domain socket, one governed wolf::Session per client;
@@ -75,7 +71,6 @@
 #include <string_view>
 #include <thread>
 
-#include "core/magic_prune.hpp"
 #include "core/metrics.hpp"
 #include "core/ranking.hpp"
 #include "obs/progress.hpp"
@@ -132,7 +127,6 @@ void register_workload_flags(Flags& flags) {
 }
 
 void register_detector_flags(Flags& flags) {
-  flags.define_bool("magic-prune", false, "MagicFuzzer tuple reduction");
   flags.define_int("max-cycles", 100000,
                    "cap on enumerated cycles (a warning is printed when hit)");
   flags.define_bool("clock-prune", false,
@@ -244,10 +238,8 @@ std::optional<Trace> load_or_record(const sim::Program& program,
 // Shared by detect/analyze: detector knobs from flags.
 DetectorOptions detector_from_flags(const Flags& flags) {
   DetectorOptions options;
-  options.magic_prune = flags.get_bool("magic-prune");
   options.max_cycles = static_cast<std::size_t>(flags.get_int("max-cycles"));
   options.clock_prune_during_search = flags.get_bool("clock-prune");
-  options.jobs = static_cast<int>(flags.get_int("jobs"));
   return options;
 }
 
@@ -417,7 +409,8 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
     }
     std::cout << '\n';
   }
-  return metrics.write_counters(options.jobs) ? 0 : 1;
+  const int decode_jobs = static_cast<int>(flags.get_int("jobs"));
+  return metrics.write_counters(decode_jobs) ? 0 : 1;
 }
 
 int cmd_analyze(const sim::Program& program, const Flags& flags) {
@@ -438,8 +431,6 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   config.window_events =
       static_cast<std::size_t>(flags.get_int("window-events"));
   config.window_deadline_ms = flags.get_int("window-deadline-ms");
-  config.pipeline_depth =
-      static_cast<std::size_t>(flags.get_int("pipeline-depth"));
   if (flags.get_bool("live")) {
     // Surface each cycle the moment a window first finds it. Observation
     // only: the final report below is identical with or without --live.
@@ -580,15 +571,12 @@ int cmd_serve(int argc, char** argv) {
                    "wall-clock cap on one session's ingest (0 = none)");
   flags.define_int("drain-deadline-ms", 5000,
                    "grace period for live sessions on shutdown");
-  flags.define_int("pipeline-depth", 4,
-                   "per-session decode ring depth in blocks (<2 = inline)");
   flags.define_int("window-events", 65536,
                    "default events per governed detection window");
   flags.define_int("memory-budget-mb", 0,
                    "default per-session tuple-store budget (MiB, 0 = none)");
   flags.define_int("window-deadline-ms", 0,
                    "default per-window detection deadline (0 = none)");
-  flags.define_int("jobs", 1, "default per-session enumeration parallelism");
   if (!flags.parse(argc, argv)) return 1;
   if (flags.get_string("socket").empty()) {
     std::cerr << "wolf serve: --socket is required\n";
@@ -601,14 +589,11 @@ int cmd_serve(int argc, char** argv) {
   options.idle_timeout_ms = flags.get_int("idle-timeout-ms");
   options.session_deadline_ms = flags.get_int("session-deadline-ms");
   options.drain_deadline_ms = flags.get_int("drain-deadline-ms");
-  options.pipeline_depth =
-      static_cast<std::size_t>(flags.get_int("pipeline-depth"));
   options.session.window_events =
       static_cast<std::size_t>(flags.get_int("window-events"));
   options.session.memory_budget_mb =
       static_cast<std::size_t>(flags.get_int("memory-budget-mb"));
   options.session.window_deadline_ms = flags.get_int("window-deadline-ms");
-  options.session.jobs = static_cast<int>(flags.get_int("jobs"));
 
   serve::Server server(options);
   std::string error;
@@ -654,7 +639,6 @@ int cmd_emit(int argc, char** argv) {
   flags.define_int("budget-mb", -1, "override the server's memory budget");
   flags.define_int("deadline-ms", -1,
                    "override the server's window deadline");
-  flags.define_int("jobs", 0, "override the server's per-session jobs");
   flags.define_int("chunk-bytes", 64 * 1024, "upload chunk size");
   flags.define_int("throttle-ms", 0, "sleep between chunks (slow consumer)");
   if (!flags.parse(argc, argv)) return 1;
@@ -705,8 +689,6 @@ int cmd_emit(int argc, char** argv) {
   if (flags.get_int("deadline-ms") >= 0)
     options.params["deadline-ms"] =
         std::to_string(flags.get_int("deadline-ms"));
-  if (flags.get_int("jobs") > 0)
-    options.params["jobs"] = std::to_string(flags.get_int("jobs"));
   // Print live cycles as they arrive, in `analyze --live` format.
   options.on_line = [](const std::string& line) {
     SessionCycle cycle;
@@ -811,9 +793,6 @@ int main(int argc, char** argv) {
     flags.define_bool("live", false,
                       "print each cycle when a window first finds it "
                       "(switches onto the governed streaming path)");
-    flags.define_int("pipeline-depth", 0,
-                     "blocks the governed decode ring may run ahead of "
-                     "ingestion when --jobs > 1 (0 = auto)");
   } else if (command == "replay") {
     flags.define_int("attempts", 10, "replay attempts");
     flags.define_int("cycle", 0, "cycle index for `replay`");
