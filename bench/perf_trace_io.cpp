@@ -11,12 +11,12 @@
 //   2. formats — suite-workload traces (plus a large synthetic one in full
 //      mode) encoded and decoded in v2 and v3; bytes/event, encode/decode
 //      MB/s, the v3:v2 size ratio, and a round-trip identity check.
-//   3. decode_paths — one indexed v3 file decoded through every file read
-//      path (buffered-serial, mmap-serial, mmap-indexed-parallel at jobs
-//      2/4); MB/s over *total file bytes* for each, the reader's
-//      mmap_used/index_present introspection, and an event-checksum identity
-//      gate across all paths. --huge streams a 10^8-event file through this
-//      section in O(block) memory (the events are never materialized).
+//   3. decode_paths — one indexed v3 file decoded through the path
+//      StreamTraceReader (the one v3 read path: an ifstream and an ordered
+//      block scan); MB/s over *total file bytes*, whether the footer index
+//      passed its checks, and an event-count + chained-checksum identity
+//      gate. --huge streams a 10^8-event file through this section in
+//      O(block) memory (the events are never materialized).
 //   4. rt_slowdown — a deadlock-free rt workload run uninstrumented, with
 //      the serial recorder, and with the sharded recorder; paired seeds,
 //      wall-clock slowdown factors vs uninstrumented.
@@ -203,24 +203,14 @@ FormatResult bench_formats(const std::string& name, const Trace& trace,
   return r;
 }
 
-// --- decode_paths: the file read paths of StreamTraceReader ---
-
-struct DecodeRow {
-  std::string label;
-  int jobs = 1;
-  double mb_s = 0;  // total file bytes / best wall time
-  bool mmap_used = false;
-  bool index_present = false;
-  bool parallel_decode = false;
-  bool identical = false;  // event count + checksum match the writer's
-};
+// --- decode_paths: the file read path of StreamTraceReader ---
 
 struct DecodePathsResult {
   std::uint64_t events = 0;
   std::size_t file_bytes = 0;
-  std::vector<DecodeRow> rows;
-  // Best indexed-parallel MB/s over buffered-serial MB/s.
-  double indexed_parallel_speedup = 0;
+  double mb_s = 0;  // total file bytes / best wall time
+  bool index_present = false;
+  bool identical = false;  // event count + checksum match the writer's
 };
 
 // Streams `events` synthetic events through a StreamTraceWriter into an
@@ -243,22 +233,21 @@ std::uint64_t write_synthetic_file(const std::string& path,
   return checksum;
 }
 
-DecodeRow measure_decode_path(const std::string& path, std::string label,
-                              bool allow_mmap, bool use_index, int jobs,
-                              int reps, std::size_t file_bytes,
-                              std::uint64_t want_events,
-                              std::uint64_t want_checksum) {
-  DecodeRow row;
-  row.label = std::move(label);
-  row.jobs = jobs;
+DecodePathsResult bench_decode_paths(const std::string& tmp_path,
+                                     std::uint64_t events, std::uint64_t seed,
+                                     int reps) {
+  DecodePathsResult r;
+  r.events = events;
+  const std::uint64_t want_checksum =
+      write_synthetic_file(tmp_path, events, seed);
+  {
+    std::ifstream probe(tmp_path, std::ios::binary | std::ios::ate);
+    r.file_bytes = static_cast<std::size_t>(probe.tellg());
+  }
   double best_s = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
-    StreamTraceReader::Options options;
-    options.allow_mmap = allow_mmap;
-    options.use_index = use_index;
-    options.jobs = jobs;
     Stopwatch watch;
-    StreamTraceReader reader(path, StreamTraceReader::Mode::kStrict, options);
+    StreamTraceReader reader(tmp_path, StreamTraceReader::Mode::kStrict);
     std::uint64_t checksum = wire::kChecksumSeed;
     std::uint64_t count = 0;
     std::vector<Event> block;
@@ -268,44 +257,10 @@ DecodeRow measure_decode_path(const std::string& path, std::string label,
       count += block.size();
     }
     best_s = std::min(best_s, watch.seconds());
-    row.identical =
-        reader.ok() && count == want_events && checksum == want_checksum;
-    row.mmap_used = reader.mmap_used();
-    row.index_present = reader.index_present();
-    row.parallel_decode = reader.parallel_decode();
+    r.identical = reader.ok() && count == events && checksum == want_checksum;
+    r.index_present = reader.index_present();
   }
-  row.mb_s = static_cast<double>(file_bytes) / 1e6 / best_s;
-  return row;
-}
-
-DecodePathsResult bench_decode_paths(const std::string& tmp_path,
-                                     std::uint64_t events, std::uint64_t seed,
-                                     int reps) {
-  DecodePathsResult r;
-  r.events = events;
-  const std::uint64_t checksum =
-      write_synthetic_file(tmp_path, events, seed);
-  {
-    std::ifstream probe(tmp_path, std::ios::binary | std::ios::ate);
-    r.file_bytes = static_cast<std::size_t>(probe.tellg());
-  }
-  r.rows.push_back(measure_decode_path(tmp_path, "buffered-serial",
-                                       /*allow_mmap=*/false,
-                                       /*use_index=*/false, 1, reps,
-                                       r.file_bytes, events, checksum));
-  r.rows.push_back(measure_decode_path(tmp_path, "mmap-serial",
-                                       /*allow_mmap=*/true,
-                                       /*use_index=*/false, 1, reps,
-                                       r.file_bytes, events, checksum));
-  for (int jobs : {2, 4})
-    r.rows.push_back(measure_decode_path(
-        tmp_path, "mmap-indexed-parallel", /*allow_mmap=*/true,
-        /*use_index=*/true, jobs, reps, r.file_bytes, events, checksum));
-  const double base = r.rows[0].mb_s;
-  for (const DecodeRow& row : r.rows)
-    if (row.parallel_decode && base > 0)
-      r.indexed_parallel_speedup =
-          std::max(r.indexed_parallel_speedup, row.mb_s / base);
+  r.mb_s = static_cast<double>(r.file_bytes) / 1e6 / best_s;
   std::remove(tmp_path.c_str());
   return r;
 }
@@ -399,21 +354,11 @@ void write_json(std::ostream& os, bool quick, bool huge,
      << "  \"decode_paths\": {\n"
      << "    \"events\": " << decode.events << ",\n"
      << "    \"file_bytes\": " << decode.file_bytes << ",\n"
-     << "    \"rows\": [\n";
-  for (std::size_t i = 0; i < decode.rows.size(); ++i) {
-    const DecodeRow& row = decode.rows[i];
-    os << "      {\"path\": \"" << row.label << "\", \"jobs\": " << row.jobs
-       << ", \"mb_per_s\": " << row.mb_s
-       << ", \"mmap_used\": " << (row.mmap_used ? "true" : "false")
-       << ", \"index_present\": " << (row.index_present ? "true" : "false")
-       << ", \"parallel_decode\": "
-       << (row.parallel_decode ? "true" : "false")
-       << ", \"identical\": " << (row.identical ? "true" : "false") << "}"
-       << (i + 1 < decode.rows.size() ? "," : "") << '\n';
-  }
-  os << "    ],\n"
-     << "    \"indexed_parallel_speedup\": "
-     << decode.indexed_parallel_speedup << "\n"
+     << "    \"rows\": [\n"
+     << "      {\"path\": \"stream\", \"mb_per_s\": " << decode.mb_s
+     << ", \"index_present\": " << (decode.index_present ? "true" : "false")
+     << ", \"identical\": " << (decode.identical ? "true" : "false") << "}\n"
+     << "    ]\n"
      << "  },\n"
      << "  \"rt_slowdown\": {\n"
      << "    \"workload\": \"" << slowdown.workload << "\",\n"
@@ -513,19 +458,13 @@ int main(int argc, char** argv) {
   fmt_table.render(std::cout);
   std::cout << '\n';
 
-  TextTable decode_table(
-      {"Decode path", "Jobs", "MB/s", "mmap", "Index", "Parallel", "Events"});
-  for (const DecodeRow& row : decode.rows)
-    decode_table.add_row({row.label, std::to_string(row.jobs),
-                          TextTable::num(row.mb_s, 0),
-                          row.mmap_used ? "yes" : "no",
-                          row.index_present ? "yes" : "no",
-                          row.parallel_decode ? "yes" : "no",
-                          row.identical ? "ok" : "BROKEN"});
+  TextTable decode_table({"Decode path", "MB/s", "Index", "Events"});
+  decode_table.add_row({"stream", TextTable::num(decode.mb_s, 0),
+                        decode.index_present ? "yes" : "no",
+                        decode.identical ? "ok" : "BROKEN"});
   decode_table.render(std::cout);
   std::cout << "decode_paths: " << decode.events << " events, "
-            << decode.file_bytes << " bytes, indexed-parallel speedup "
-            << TextTable::num(decode.indexed_parallel_speedup, 2) << "x\n";
+            << decode.file_bytes << " bytes\n";
 
   std::cout << "\nrt slowdown (" << slowdown.workload << ", " << slowdown.runs
             << " paired runs): uninstrumented "
@@ -548,7 +487,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const RecordResult& r : record) ok &= r.merge_ok;
   for (const FormatResult& f : formats) ok &= f.roundtrip_ok;
-  for (const DecodeRow& row : decode.rows) ok &= row.identical;
+  ok &= decode.identical;
   if (!ok) {
     std::cerr << "FAIL: recording merge, format round-trip, or decode-path "
                  "identity broke\n";

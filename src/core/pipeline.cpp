@@ -210,6 +210,23 @@ Classification defect_classification(const std::vector<CycleReport>& cycles,
                              : Classification::kFalseByPruner;
 }
 
+}  // namespace
+
+void check_trace_sites(const sim::Program& program,
+                       const Detection& detection) {
+  const SiteId known = program.sites().size();
+  for (const LockTuple& tuple : detection.dep.tuples)
+    for (const ExecIndex& index : tuple.context)
+      if (index.site != kInvalidSite &&
+          (index.site < 0 || index.site >= known))
+        throw ForeignTraceError("trace names site id " +
+                                std::to_string(index.site) +
+                                ", but the program defines only " +
+                                std::to_string(known) + " sites");
+}
+
+namespace {
+
 // Per-cycle scratch state of the parallel classification engine. Workers
 // write only their own slot; everything is merged serially afterwards.
 struct CycleStage {
@@ -226,6 +243,7 @@ struct CycleStage {
 WolfReport classify_detection(const sim::Program& program, Detection detection,
                               const WolfOptions& options,
                               obs::SpanSink& sink) {
+  check_trace_sites(program, detection);
   WolfReport report;
   report.trace_recorded = true;
   report.detection = std::move(detection);

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -145,6 +146,22 @@ struct WolfReport {
 
   std::string summary(const SiteTable& sites) const;
 };
+
+// A trace names sites by dense id into the SiteTable of the program that
+// recorded it, so a trace from another program can name ids this one never
+// registered. Detection never consults the program; this is checked where
+// the program first meets the trace — after detection, before prune,
+// generate, replay and reporting.
+class ForeignTraceError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+// Throws ForeignTraceError naming the first site id in `detection`'s
+// tuples that `program` does not define. Every pipeline entry point below
+// runs it before classification.
+void check_trace_sites(const sim::Program& program,
+                       const Detection& detection);
 
 // Records a trace of `program` and runs the full pipeline on it.
 WolfReport run_wolf(const sim::Program& program, const WolfOptions& options);

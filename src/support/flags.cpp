@@ -154,9 +154,6 @@ std::string Flags::usage(const std::string& program) const {
 
 void register_common_flags(Flags& flags) {
   flags.define_int("seed", 2014, "seed");
-  flags.define_int("jobs", 0,
-                   "classification parallelism (0 = hardware concurrency; "
-                   "1 reproduces the serial pipeline exactly)");
   flags.define_int("deadline-ms", 0,
                    "wall-clock budget per trial (0 = unlimited; rt watchdog)");
   flags.define_string("metrics-out", "",

@@ -62,8 +62,9 @@ class Flags {
 };
 
 // Defines the shared flag surface of every wolf subcommand, mirroring the
-// top-level scalars of wolf::Config: --seed, --jobs, --deadline-ms, plus
-// the observability flags --metrics-out, --metrics-stable and --progress.
+// top-level scalars of wolf::Config: --seed, --deadline-ms, plus the
+// observability flags --metrics-out, --metrics-stable and --progress.
+// (--jobs belongs to `analyze`, the one subcommand that classifies.)
 void register_common_flags(Flags& flags);
 
 }  // namespace wolf

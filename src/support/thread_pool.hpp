@@ -3,7 +3,7 @@
 // Deliberately work-stealing-free: a batch is an index range [0, count)
 // drained through one shared atomic cursor, so the only scheduling decision
 // is "who grabs the next index". That is enough for the pipeline's fan-out
-// (independent cycles, independent runs, indexed v3 blocks) and keeps the pool small enough to
+// (independent cycles, independent runs) and keeps the pool small enough to
 // reason about under TSan.
 //
 // Semantics of parallel_for_each:

@@ -169,11 +169,8 @@ std::optional<Trace> read_trace(std::istream& is, std::string* error) {
   return drain_strict(reader, error);
 }
 
-std::optional<Trace> read_trace(const std::string& path, std::string* error,
-                                int jobs) {
-  StreamTraceReader::Options options;
-  options.jobs = jobs;
-  StreamTraceReader reader(path, StreamTraceReader::Mode::kStrict, options);
+std::optional<Trace> read_trace(const std::string& path, std::string* error) {
+  StreamTraceReader reader(path, StreamTraceReader::Mode::kStrict);
   return drain_strict(reader, error);
 }
 
@@ -260,10 +257,8 @@ SalvageReport read_trace_salvage(std::istream& is) {
   return drain_salvage(reader);
 }
 
-SalvageReport read_trace_salvage(const std::string& path, int jobs) {
-  StreamTraceReader::Options options;
-  options.jobs = jobs;
-  StreamTraceReader reader(path, StreamTraceReader::Mode::kSalvage, options);
+SalvageReport read_trace_salvage(const std::string& path) {
+  StreamTraceReader reader(path, StreamTraceReader::Mode::kSalvage);
   return drain_salvage(reader);
 }
 

@@ -26,13 +26,12 @@
 // block of a v3 trace (a damaged block is skipped by name while the blocks
 // after it still load).
 //
-// The path constructor unlocks the 10^8-event fast path (DESIGN.md §15):
-// a v3 file is mmap'd (support/mmap_file) and decoded zero-copy, and when
-// it carries the footer block index and Options.jobs > 1, blocks are
-// decoded in parallel on a support/thread_pool — with bit-identical event
-// delivery, defect messages, and salvage accounting at every jobs level.
-// Every acceleration degrades gracefully: no mmap → buffered reads, no
-// index → sequential scan, no parallelism → serial decode.
+// Both constructors run the same scan: the path constructor only opens an
+// std::ifstream first. A v3 file is read in one ordered pass, block by
+// block, which is also how serve reads a socket (DESIGN.md §15). The footer
+// block index, when present, is checked against that pass rather than used
+// to seek: its trailer must point back at its own 'I' tag, and its entries
+// must describe exactly the blocks that were read.
 #pragma once
 
 #include <cstdint>
@@ -43,14 +42,11 @@
 #include <thread>
 #include <vector>
 
-#include "support/mmap_file.hpp"
 #include "support/ring_queue.hpp"
 #include "trace/event.hpp"
 #include "trace/wire.hpp"
 
 namespace wolf {
-
-class ThreadPool;
 
 class TraceReader {
  public:
@@ -78,27 +74,12 @@ class StreamTraceReader final : public TraceReader {
  public:
   enum class Mode { kStrict, kSalvage };
 
-  struct Options {
-    // Try to mmap v3 files opened by path; failure silently falls back to
-    // buffered stream reads.
-    bool allow_mmap = true;
-    // Decode indexed v3 blocks on this many threads (<= 1: serial). Only
-    // effective with mmap and a valid footer index; delivery order, event
-    // bytes, and diagnostics are identical at every level.
-    int jobs = 1;
-    // Ignore a footer index even when present (forces the sequential
-    // scan; used by tests and honesty-mode benchmarks).
-    bool use_index = true;
-  };
-
   // Borrows `is`; the caller keeps the stream alive while reading. v3
   // streams must be opened in binary mode.
   explicit StreamTraceReader(std::istream& is, Mode mode = Mode::kStrict);
-  // Opens `path` itself; enables the mmap / indexed-parallel fast paths.
+  // Opens `path` itself (binary mode), then reads it like the stream form.
   explicit StreamTraceReader(const std::string& path,
-                             Mode mode = Mode::kStrict)
-      : StreamTraceReader(path, mode, Options{}) {}
-  StreamTraceReader(const std::string& path, Mode mode, Options options);
+                             Mode mode = Mode::kStrict);
   ~StreamTraceReader();
 
   bool next_block(std::vector<Event>& out) override;
@@ -116,40 +97,33 @@ class StreamTraceReader final : public TraceReader {
   const std::vector<std::string>& diagnostics() const { return diagnostics_; }
   std::uint64_t events_read() const { return count_; }
 
-  // Fast-path introspection (perf_trace_io records these in its JSON).
-  bool mmap_used() const { return mem_mode_; }
+  // True once a v3 footer block index was read and passed its checks.
   bool index_present() const { return index_present_; }
-  bool parallel_decode() const { return !index_.empty() && pool_ != nullptr; }
 
  private:
-  enum class Stage { kStart, kText, kBinary, kBinaryMem, kBinaryIndexed,
-                     kDone };
+  enum class Stage { kStart, kText, kBinary, kDone };
 
   // Records a defect: strict mode sets error_ and ends the stream; salvage
   // mode appends a (capped) diagnostic and leaves the stage alone.
   void defect(std::string msg);
   bool start();
-  bool open_memory_v3();  // true when the mmap path is usable
-  bool load_index();      // true when a valid footer index was adopted
   bool next_text(std::vector<Event>& out);
   bool next_binary(std::vector<Event>& out);
-  bool next_binary_mem(std::vector<Event>& out);
-  bool next_binary_indexed(std::vector<Event>& out);
-  void decode_batch();    // indexed mode: decode the next run of blocks
-  bool finish_indexed();  // indexed mode: footer + tail checks
   // One parsed text line; returns true when an event was appended to `out`.
   bool consume_text_line(std::string_view text, std::vector<Event>& out);
-  void finish_footer_checks(bool dropped_any);
-  // Consumes the index section (tag already consumed) from the sequential
-  // position `cursor` to end-of-data; defects on any damage.
-  void consume_index_section_mem();
-  void consume_index_section_stream();
+  void finish_footer_checks();
+  // Consumes the index section (tag already consumed) through the trailer
+  // and checks it against the blocks read; defects on any damage.
+  void consume_index_section();
+  // v3 byte reads; each advances offset_ by the bytes it consumed.
+  bool read_bytes(char* out, std::size_t n);
+  bool read_varint(std::uint64_t& out);
+  bool read_u64le(std::uint64_t& out);
 
   std::istream* is_ = nullptr;           // borrowed or owned (file_)
-  std::unique_ptr<std::istream> file_;   // path-mode buffered fallback
+  std::unique_ptr<std::istream> file_;   // opened by the path constructor
   std::string path_;                     // empty for the istream ctor
   Mode mode_;
-  Options options_;
   Stage stage_ = Stage::kStart;
   int version_ = 0;
   std::string error_;
@@ -172,27 +146,13 @@ class StreamTraceReader final : public TraceReader {
   bool reparse_first_ = false;
 
   // Binary state.
+  std::uint64_t offset_ = 0;        // bytes consumed (no tellg: sockets)
   std::size_t next_block_index_ = 0;
-
-  // Memory-mode (mmap) state.
-  std::optional<support::MmapFile> map_;
-  std::string_view data_;       // whole file when mem_mode_
-  std::size_t pos_ = 0;         // sequential cursor into data_
-  bool mem_mode_ = false;
-  std::size_t data_end_ = 0;    // end of block+footer region (before index)
-
-  // Footer-index state.
+  std::string payload_;             // one block's payload, reused
+  // wire::index_checksum over the entries the read blocks imply; the
+  // footer index must carry exactly this value.
+  std::uint64_t index_hash_ = wire::kChecksumSeed;
   bool index_present_ = false;
-  std::uint64_t index_offset_ = 0;  // file offset of the 'I' section
-  std::vector<wire::IndexEntry> index_;
-  std::size_t next_entry_ = 0;      // next index entry to decode
-  std::unique_ptr<ThreadPool> pool_;
-  struct DecodedBlock;
-  std::vector<DecodedBlock> batch_;
-  std::size_t batch_pos_ = 0;
-  // File offset just past the last delivered block (0: framing broken, the
-  // next block's start cannot be cross-checked).
-  std::size_t last_block_end_ = 0;
 };
 
 // Stage-pipelining adapter (DESIGN.md §17), used by the serve sidecar to

@@ -223,15 +223,6 @@ struct ByteReader {
     out = unzigzag(v);
     return true;
   }
-
-  bool get_u64le(std::uint64_t& out) {
-    if (remaining() < 8) return false;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(*p++) << (8 * i);
-    out = v;
-    return true;
-  }
 };
 
 // Appends one encoded event to `out`. `first_in_block` selects absolute vs
@@ -262,15 +253,15 @@ inline void put_event(std::string& out, const Event& e, bool first_in_block,
 // against the previous entry; the first entry is absolute), its first and
 // last sequence numbers (first_seq is delta-1 coded against the previous
 // entry's last_seq, mirroring the event encoding), its event count, and
-// `chain` — the running whole-trace checksum after that block, so a
-// parallel decoder can verify block i against entry i-1's chain without
-// replaying the prefix (the last entry's chain equals the footer
-// checksum). index_checksum chains mix64 over every decoded entry field.
+// `chain` — the running whole-trace checksum after that block (the last
+// entry's chain equals the footer checksum). index_checksum chains mix64
+// over every entry field.
 //
-// The fixed-size trailer is the random-access hook: a reader maps the
-// file, checks the last 8 bytes for the index magic, and jumps straight
-// to the section. Everything about the index is advisory — a reader that
-// finds it missing or damaged falls back to the sequential scan.
+// The fixed-size trailer points back at the section's 'I' tag, so a tool
+// can find the index from the end of the file. The reader does not seek:
+// its one ordered pass recomputes index_checksum from the blocks it read
+// and requires the stored value and the trailer offset to match. A file
+// without the section is a valid v3 trace.
 
 inline constexpr char kIndexTag = 'I';
 inline constexpr char kIndexMagic[8] = {'\x89', 'W', 'I', 'D', 'X', '3',
@@ -286,15 +277,19 @@ struct IndexEntry {
   std::uint64_t chain = 0;      // whole-trace checksum after this block
 };
 
+// Chains one entry into a running index checksum (seeded with
+// kChecksumSeed).
+inline std::uint64_t index_checksum_step(std::uint64_t h, const IndexEntry& e) {
+  h = mix64(h ^ e.offset);
+  h = mix64(h ^ e.first_seq);
+  h = mix64(h ^ e.last_seq);
+  h = mix64(h ^ e.count);
+  return mix64(h ^ e.chain);
+}
+
 inline std::uint64_t index_checksum(const std::vector<IndexEntry>& entries) {
   std::uint64_t h = kChecksumSeed;
-  for (const IndexEntry& e : entries) {
-    h = mix64(h ^ e.offset);
-    h = mix64(h ^ e.first_seq);
-    h = mix64(h ^ e.last_seq);
-    h = mix64(h ^ e.count);
-    h = mix64(h ^ e.chain);
-  }
+  for (const IndexEntry& e : entries) h = index_checksum_step(h, e);
   return h;
 }
 
@@ -321,41 +316,6 @@ inline void put_index_section(std::string& out,
   put_u64le(out, index_checksum(entries));
   put_u64le(out, section_offset);
   out.append(kIndexMagic, sizeof kIndexMagic);
-}
-
-// Parses the index section from `r`, which must be positioned just after
-// the 'I' tag and end just before the trailer. Returns false on any
-// structural defect, on trailing bytes, or when the checksum disagrees
-// with the decoded entries.
-inline bool get_index_entries(ByteReader& r, std::vector<IndexEntry>& out) {
-  out.clear();
-  std::uint64_t n = 0;
-  if (!r.get_varint(n)) return false;
-  // Every entry encodes to at least 12 bytes, so a count that cannot fit
-  // in the remaining bytes is structural corruption (and an OOM guard).
-  if (n > r.remaining() / 12) return false;
-  out.reserve(static_cast<std::size_t>(n));
-  std::uint64_t prev_offset = 0;
-  std::uint64_t prev_last_seq = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t d_off = 0, d_first = 0, span = 0, count = 0, chain = 0;
-    if (!r.get_varint(d_off) || !r.get_varint(d_first) ||
-        !r.get_varint(span) || !r.get_varint(count) || !r.get_u64le(chain))
-      return false;
-    IndexEntry e;
-    e.offset = prev_offset + d_off;
-    e.first_seq = out.empty() ? d_first : prev_last_seq + 1 + d_first;
-    e.last_seq = e.first_seq + span;
-    e.count = count;
-    e.chain = chain;
-    prev_offset = e.offset;
-    prev_last_seq = e.last_seq;
-    out.push_back(e);
-  }
-  std::uint64_t stored = 0;
-  if (!r.get_u64le(stored)) return false;
-  if (r.remaining() != 0) return false;
-  return stored == index_checksum(out);
 }
 
 // Decodes one event; mirrors put_event. Returns false on truncated input or

@@ -16,8 +16,8 @@
 // feed/poll/finish (declared below). Config::governed() picks between the
 // unbounded batch-equivalent session and the windowed, budgeted one of
 // core/governor.hpp; both return the same Verdict. Detection — batch, per
-// window and final — is one serial pass on the calling thread; Config::jobs
-// parallelizes only classification and indexed v3 decode.
+// window and final — is one serial pass on the calling thread, and so is
+// trace decode; Config::jobs parallelizes only classification.
 #pragma once
 
 #include <memory>
@@ -45,10 +45,10 @@ struct ConfigIssue {
 struct Config {
   // ---- shared scalars, read by every stage ------------------------------
   std::uint64_t seed = 2014;
-  // Parallelism of classification and of indexed v3 decode (the caller's
-  // StreamTraceReader options): 0 = hardware concurrency, 1 = the serial
-  // pipeline. Detection is always serial. Reports are identical at every
-  // level. Overrides the per-run jobs split.
+  // Parallelism of classification (and of multi-run): 0 = hardware
+  // concurrency, 1 = the serial pipeline. Trace decode and detection are
+  // always serial. Reports are identical at every level. Overrides the
+  // per-run jobs split.
   int jobs = 0;
   // Per-trial wall-clock budget in ms (0 = unlimited). Arms the rt watchdog
   // and the recording retry deadline. Overrides replay.retry and

@@ -4,9 +4,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -729,10 +731,9 @@ TEST(ShardedRecorderTest, TwoRecordersOnOneThreadStayIndependent) {
   EXPECT_EQ(b.take().size(), 1u);
 }
 
-// --------------------------------------- v3 footer index + mmap readers ----
+// ------------------------------------- v3 footer index + path reader ----
 
-// Writes trace bytes to a real file so the path-based reader can exercise
-// mmap, the footer index, and parallel decode.
+// Writes trace bytes to a real file for the path-based reader.
 struct TraceFile {
   std::filesystem::path dir;
   std::string path;
@@ -774,52 +775,28 @@ TEST(TraceIndexTest, StreamWriterMatchesBatchWriterByteForByte) {
 TEST(TraceIndexTest, IndexRoundTripsAcrossEveryDecodePath) {
   Trace trace = block_trace(5, 7);
   TraceFile file(trace_to_string(trace, TraceFormat::kV3));
-  for (bool allow_mmap : {false, true}) {
-    for (int jobs : {1, 2, 4}) {
-      StreamTraceReader::Options options;
-      options.allow_mmap = allow_mmap;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict,
-                               options);
-      EXPECT_EQ(drain(reader), trace.events)
-          << "mmap=" << allow_mmap << " jobs=" << jobs;
-      EXPECT_TRUE(reader.ok()) << reader.error();
-      EXPECT_EQ(reader.mmap_used(), allow_mmap);
-      EXPECT_TRUE(reader.index_present());
-      EXPECT_EQ(reader.parallel_decode(), allow_mmap && jobs > 1);
-    }
-  }
+  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict);
+  EXPECT_EQ(drain(reader), trace.events);
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_TRUE(reader.index_present());
 }
 
 TEST(TraceIndexTest, UnindexedFileLoadsOnEveryPathToo) {
   Trace trace = block_trace(3, 1);
   TraceFile file(
       trace_to_string(trace, TraceFormat::kV3, {.index = false}));
-  for (bool allow_mmap : {false, true}) {
-    for (int jobs : {1, 4}) {
-      StreamTraceReader::Options options;
-      options.allow_mmap = allow_mmap;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict,
-                               options);
-      EXPECT_EQ(drain(reader), trace.events);
-      EXPECT_TRUE(reader.ok()) << reader.error();
-      EXPECT_FALSE(reader.index_present());
-      EXPECT_FALSE(reader.parallel_decode());  // no index to parallelize on
-    }
-  }
+  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict);
+  EXPECT_EQ(drain(reader), trace.events);
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_FALSE(reader.index_present());
 }
 
 TEST(TraceIndexTest, TextTraceThroughPathReaderFallsBackToBuffered) {
   Trace trace = sample_trace();
   TraceFile file(trace_to_string(trace, TraceFormat::kV2), "t.v2");
-  StreamTraceReader::Options options;
-  options.jobs = 4;
-  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict,
-                           options);
+  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict);
   EXPECT_EQ(drain(reader), trace.events);
   EXPECT_TRUE(reader.ok()) << reader.error();
-  EXPECT_FALSE(reader.mmap_used());
   EXPECT_EQ(reader.version(), 2);
 }
 
@@ -838,28 +815,20 @@ TEST(TraceIndexTest, CorruptBlockSalvagesIdenticallyAtEveryJobsLevel) {
   bytes[end_of_block(bytes, 1) + 20] ^= 0x01;  // damage block 2's payload
   TraceFile file(bytes);
 
-  std::vector<std::vector<Event>> events;
-  std::vector<std::vector<std::string>> diags;
-  std::vector<std::size_t> dropped;
-  for (int jobs : {1, 2, 4}) {
-    StreamTraceReader::Options options;
-    options.jobs = jobs;
-    StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                             options);
-    events.push_back(drain(reader));
-    diags.push_back(reader.diagnostics());
-    dropped.push_back(reader.events_dropped());
-    EXPECT_FALSE(reader.complete());
-  }
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i], events[0]);
-    EXPECT_EQ(diags[i], diags[0]);
-    EXPECT_EQ(dropped[i], dropped[0]);
-  }
-  EXPECT_EQ(events[0].size(), 3 * wire::kBlockEvents);
-  EXPECT_EQ(dropped[0], wire::kBlockEvents);
-  ASSERT_FALSE(diags[0].empty());
-  EXPECT_NE(diags[0][0].find("block 2"), std::string::npos);
+  // The path and stream constructors run the same scan.
+  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage);
+  const std::vector<Event> events = drain(reader);
+  std::istringstream is{bytes};
+  StreamTraceReader streamed(is, StreamTraceReader::Mode::kSalvage);
+  EXPECT_EQ(drain(streamed), events);
+  EXPECT_EQ(streamed.diagnostics(), reader.diagnostics());
+  EXPECT_EQ(streamed.events_dropped(), reader.events_dropped());
+
+  EXPECT_FALSE(reader.complete());
+  EXPECT_EQ(events.size(), 3 * wire::kBlockEvents);
+  EXPECT_EQ(reader.events_dropped(), wire::kBlockEvents);
+  ASSERT_FALSE(reader.diagnostics().empty());
+  EXPECT_NE(reader.diagnostics()[0].find("block 2"), std::string::npos);
 }
 
 TEST(TraceIndexTest, TruncationAtEveryByteOffsetNeverPassesStrict) {
@@ -896,22 +865,16 @@ TEST(TraceIndexTest, TruncatedIndexFallsBackToSequentialLoad) {
   // Every cut strictly inside the footer-index region (the bytes the
   // index-free encoding does not have) leaves the events and the 'E'
   // footer intact: salvage through the path reader must still deliver the
-  // complete event list, with the damage named, at every jobs level. (A
-  // cut at exactly plain.size() is a complete unindexed trace, so start
-  // one byte past it.)
+  // complete event list, with the damage named. (A cut at exactly
+  // plain.size() is a complete unindexed trace, so start one byte past it.)
   for (std::size_t cut = plain.size() + 1; cut < bytes.size(); ++cut) {
     TraceFile file(bytes.substr(0, cut));
-    for (int jobs : {1, 4}) {
-      StreamTraceReader::Options options;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                               options);
-      EXPECT_EQ(drain(reader), trace.events) << "cut=" << cut;
-      EXPECT_EQ(reader.events_dropped(), 0u);
-      EXPECT_FALSE(reader.complete());
-      ASSERT_FALSE(reader.diagnostics().empty());
-      EXPECT_NE(reader.diagnostics()[0].find("footer"), std::string::npos);
-    }
+    StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage);
+    EXPECT_EQ(drain(reader), trace.events) << "cut=" << cut;
+    EXPECT_EQ(reader.events_dropped(), 0u);
+    EXPECT_FALSE(reader.complete());
+    ASSERT_FALSE(reader.diagnostics().empty());
+    EXPECT_NE(reader.diagnostics()[0].find("footer"), std::string::npos);
   }
 }
 
@@ -922,17 +885,87 @@ TEST(TraceIndexTest, CorruptIndexChecksumFallsBackAndIsNamed) {
   // trailer) — the entry checksum must catch it.
   bytes[bytes.size() - wire::kIndexTrailerBytes - 4] ^= 0x01;
   TraceFile file(bytes);
-  StreamTraceReader::Options options;
-  options.jobs = 4;
-  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                           options);
+  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage);
   EXPECT_EQ(drain(reader), trace.events);  // events still load sequentially
-  EXPECT_FALSE(reader.parallel_decode());
+  EXPECT_FALSE(reader.index_present());
   EXPECT_FALSE(reader.complete());
 
   std::string error;
   EXPECT_EQ(trace_from_string(bytes, &error), std::nullopt);
   EXPECT_NE(error.find("footer"), std::string::npos);
+}
+
+// The index entries the writer emits for `trace`, rebuilt from its events:
+// block i holds events [i * kBlockEvents, ...) and starts where block i-1
+// ended in `bytes`.
+std::vector<wire::IndexEntry> index_entries(const Trace& trace,
+                                            const std::string& bytes) {
+  std::vector<wire::IndexEntry> entries;
+  std::uint64_t chain = wire::kChecksumSeed;
+  for (std::size_t first = 0; first < trace.events.size();
+       first += wire::kBlockEvents) {
+    const std::size_t last =
+        std::min(first + wire::kBlockEvents, trace.events.size()) - 1;
+    wire::IndexEntry e;
+    e.offset = entries.empty() ? sizeof wire::kMagicV3
+                               : end_of_block(bytes, entries.size() - 1);
+    e.first_seq = trace.events[first].seq;
+    e.last_seq = trace.events[last].seq;
+    e.count = last - first + 1;
+    for (std::size_t i = first; i <= last; ++i)
+      chain = wire::checksum_event(chain, trace.events[i]);
+    e.chain = chain;
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+TEST(TraceIndexTest, LyingIndexIsRejectedByEveryReader) {
+  Trace trace = block_trace(3, 9);
+  const std::string bytes = trace_to_string(trace, TraceFormat::kV3);
+  const std::string plain =
+      trace_to_string(trace, TraceFormat::kV3, {.index = false});
+  std::vector<wire::IndexEntry> entries = index_entries(trace, bytes);
+  {
+    std::string honest = plain;
+    wire::put_index_section(honest, entries, plain.size());
+    ASSERT_EQ(honest, bytes);  // the rebuilt index is the writer's
+  }
+  // A trailer whose offset is off by one, and an entry that lies about its
+  // block under a recomputed (self-consistent) index checksum.
+  std::string bad_trailer = plain;
+  wire::put_index_section(bad_trailer, entries, plain.size() + 1);
+  entries[1].last_seq -= 1;
+  std::string bad_entry = plain;
+  wire::put_index_section(bad_entry, entries, plain.size());
+
+  for (const std::string* damaged : {&bad_trailer, &bad_entry}) {
+    TraceFile file(*damaged);
+    for (bool by_path : {true, false}) {
+      SCOPED_TRACE(std::string(damaged == &bad_trailer ? "trailer" : "entry") +
+                   (by_path ? " via path" : " via istream"));
+      std::istringstream strict_in{*damaged}, salvage_in{*damaged};
+      auto open = [&](std::istream& in, StreamTraceReader::Mode mode) {
+        return by_path ? std::make_unique<StreamTraceReader>(file.path, mode)
+                       : std::make_unique<StreamTraceReader>(in, mode);
+      };
+      auto strict = open(strict_in, StreamTraceReader::Mode::kStrict);
+      drain(*strict);
+      EXPECT_FALSE(strict->ok());
+      EXPECT_NE(strict->error().find("footer"), std::string::npos)
+          << strict->error();
+      EXPECT_NE(strict->error().find("index"), std::string::npos)
+          << strict->error();
+
+      auto salvage = open(salvage_in, StreamTraceReader::Mode::kSalvage);
+      EXPECT_EQ(drain(*salvage), trace.events);
+      EXPECT_EQ(salvage->events_dropped(), 0u);
+      EXPECT_FALSE(salvage->complete());
+      // Exactly one diagnostic, worded as the strict error.
+      EXPECT_EQ(salvage->diagnostics(),
+                std::vector<std::string>{strict->error()});
+    }
+  }
 }
 
 }  // namespace

@@ -19,9 +19,9 @@
 // checksum.
 //
 // Every subcommand parses its own flag set: the shared surface
-// (register_common_flags: --seed, --jobs, --deadline-ms, plus the
-// observability flags) and only the extras that subcommand understands, so
-// a misplaced flag is an error naming the subcommand that rejected it.
+// (register_common_flags: --seed, --deadline-ms, plus the observability
+// flags) and only the extras that subcommand understands, so a misplaced
+// flag is an error naming the subcommand that rejected it.
 //
 // Observability: --metrics-out=<file> writes a versioned JSON run report
 // (span tree + counter deltas + per-cycle funnel verdicts; '-' = stdout);
@@ -43,12 +43,15 @@
 // file + rename), so a crash — or an injected tear=<bytes> fault — never
 // clobbers an existing trace.
 //
-// --jobs N classifies detected cycles N-way parallel (default 0 = hardware
-// concurrency); reports are identical at every N, and --jobs 1 runs the
-// historical serial pipeline. The same flag parallelizes indexed v3 block
-// decode. Detection itself — batch, per window and final — is serial, so
-// every output, including governed verdicts and live-cycle order, is
-// identical at every --jobs level.
+// analyze --jobs N classifies detected cycles N-way parallel (default 0 =
+// hardware concurrency); reports are identical at every N, and --jobs 1
+// runs the historical serial pipeline. Trace decode and detection — batch,
+// per window and final — are serial, so every output, including governed
+// verdicts and live-cycle order, is identical at every --jobs level.
+//
+// A trace recorded from a different workload names sites the chosen
+// workload never registered; every subcommand that meets one exits 1 with a
+// one-line error naming the workload and the site id.
 //
 // Detector flags: --max-cycles caps enumeration (a warning is printed when
 // the cap is hit), --clock-prune folds the Pruner's vector-clock test into
@@ -210,11 +213,8 @@ std::optional<Trace> load_or_record(const sim::Program& program,
                                     const std::string& trace_path,
                                     std::uint64_t seed, const Flags& flags) {
   if (!trace_path.empty()) {
-    // The path readers mmap v3 files and decode indexed blocks on --jobs
-    // threads; the decoded trace is byte-identical to a buffered read.
-    const int jobs = static_cast<int>(flags.get_int("jobs"));
     if (flags.get_bool("salvage")) {
-      SalvageReport salvaged = read_trace_salvage(trace_path, jobs);
+      SalvageReport salvaged = read_trace_salvage(trace_path);
       std::cout << salvaged.summary() << '\n';
       for (const std::string& d : salvaged.diagnostics)
         std::cerr << "  " << d << '\n';
@@ -225,7 +225,7 @@ std::optional<Trace> load_or_record(const sim::Program& program,
       return std::move(salvaged.trace);
     }
     std::string error;
-    auto trace = read_trace(trace_path, &error, jobs);
+    auto trace = read_trace(trace_path, &error);
     if (!trace)
       std::cerr << "bad trace: " << error << " (try --salvage)" << '\n';
     return trace;
@@ -310,7 +310,7 @@ int cmd_record(const sim::Program& program, const Flags& flags) {
   return metrics.write_counters(/*jobs=*/1) ? 0 : 1;
 }
 
-// wolf convert <in> <out> [--format=v1|v2|v3] [--jobs=N] — rewrites a trace
+// wolf convert <in> <out> [--format=v1|v2|v3] — rewrites a trace
 // in another format. The input format is auto-detected; the event checksum
 // (carried by v2 and v3 footers) is a function of the events alone, so it
 // survives every conversion and is echoed for scripts to compare.
@@ -318,13 +318,11 @@ int cmd_record(const sim::Program& program, const Flags& flags) {
 // The conversion is a block pipeline, not a load-then-dump: the streaming
 // reader hands blocks straight to a StreamTraceWriter on the atomic temp
 // file, so peak memory is O(block), independent of trace length — a 10^8-
-// event file converts in a few hundred KB of heap. Indexed v3 input decodes
-// on --jobs threads; the output is byte-identical at every jobs level.
+// event file converts in a few hundred KB of heap.
 int cmd_convert(int argc, char** argv) {
   if (argc < 2 || std::string_view(argv[0]).substr(0, 2) == "--" ||
       std::string_view(argv[1]).substr(0, 2) == "--") {
-    std::cerr << "usage: wolf convert <in> <out> [--format=v1|v2|v3]"
-                 " [--jobs=N]\n";
+    std::cerr << "usage: wolf convert <in> <out> [--format=v1|v2|v3]\n";
     return 1;
   }
   const std::string in_path = argv[0];
@@ -332,7 +330,6 @@ int cmd_convert(int argc, char** argv) {
   Flags flags;
   flags.set_context("wolf convert");
   flags.define_string("format", "v3", "output trace format (v1|v2|v3)");
-  flags.define_int("jobs", 1, "decode threads for indexed v3 input");
   // parse() treats its argv[0] as the program name, so hand it the slot
   // before the first flag.
   if (!flags.parse(argc - 1, argv + 1)) return 1;
@@ -343,10 +340,7 @@ int cmd_convert(int argc, char** argv) {
     return 1;
   }
 
-  StreamTraceReader::Options read_options;
-  read_options.jobs = static_cast<int>(flags.get_int("jobs"));
-  StreamTraceReader reader(in_path, StreamTraceReader::Mode::kStrict,
-                           read_options);
+  StreamTraceReader reader(in_path, StreamTraceReader::Mode::kStrict);
   support::AtomicFileWriter writer(out_path);
   if (!writer.ok()) {
     std::cerr << "cannot write " << out_path << ": cannot open temp file\n";
@@ -388,6 +382,7 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
 
   const DetectorOptions options = detector_from_flags(flags);
   Detection det = detect(*trace, options);
+  check_trace_sites(program, det);
   warn_if_truncated(det);
   auto verdicts = prune(det);
   const DependencyIndex dep_index = DependencyIndex::build(det.dep);
@@ -409,8 +404,7 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
     }
     std::cout << '\n';
   }
-  const int decode_jobs = static_cast<int>(flags.get_int("jobs"));
-  return metrics.write_counters(decode_jobs) ? 0 : 1;
+  return metrics.write_counters(/*jobs=*/1) ? 0 : 1;
 }
 
 int cmd_analyze(const sim::Program& program, const Flags& flags) {
@@ -448,12 +442,8 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   const std::string trace_path = flags.get_string("trace");
   if (!trace_path.empty() && !flags.get_bool("salvage")) {
     // Stream the file through detection block-by-block; the full event
-    // vector is never materialized. The path constructor mmaps v3 files and
-    // decodes indexed blocks on --jobs threads.
-    StreamTraceReader::Options read_options;
-    read_options.jobs = config.jobs;
-    StreamTraceReader reader(trace_path, StreamTraceReader::Mode::kStrict,
-                             read_options);
+    // vector is never materialized.
+    StreamTraceReader reader(trace_path, StreamTraceReader::Mode::kStrict);
     // One facade for both modes: Session::open picks governed vs plain
     // streaming from the config, and analyze_session drives ingest/finish.
     Session session = Session::open(config);
@@ -517,6 +507,7 @@ int cmd_replay(const sim::Program& program, const Flags& flags) {
   auto trace = load_or_record(program, flags.get_string("trace"), seed, flags);
   if (!trace) return 1;
   Detection det = detect(*trace);
+  check_trace_sites(program, det);
   const auto cycle_index =
       static_cast<std::size_t>(flags.get_int("cycle"));
   if (cycle_index >= det.cycles.size()) {
@@ -779,6 +770,9 @@ int main(int argc, char** argv) {
     register_detector_flags(flags);
   } else if (command == "analyze") {
     register_detector_flags(flags);
+    flags.define_int("jobs", 0,
+                     "classification parallelism (0 = hardware concurrency; "
+                     "1 reproduces the serial pipeline exactly)");
     flags.define_int("attempts", 10, "replay attempts");
     flags.define_bool("rank", false, "print the defect ranking");
     flags.define_string("report", "", "write a markdown report to this path");
@@ -810,8 +804,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (command == "record") return cmd_record(*program, flags);
-  if (command == "detect") return cmd_detect(*program, flags);
-  if (command == "analyze") return cmd_analyze(*program, flags);
-  return cmd_replay(*program, flags);
+  try {
+    if (command == "record") return cmd_record(*program, flags);
+    if (command == "detect") return cmd_detect(*program, flags);
+    if (command == "analyze") return cmd_analyze(*program, flags);
+    return cmd_replay(*program, flags);
+  } catch (const ForeignTraceError& e) {
+    std::cerr << "wolf " << command
+              << ": trace was not recorded from workload '"
+              << flags.get_string("workload") << "' (" << e.what() << ")\n";
+    return 1;
+  }
 }
