@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "core/pruner.hpp"
-#include "graph/digraph.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
 
@@ -85,25 +84,67 @@ class SccEngine {
   // threads differ — every edge a deadlock chain can take). A cycle through
   // a tuple is a digraph cycle, hence confined to the tuple's SCC; only
   // components with ≥ 2 nodes can carry one (self loops are impossible:
-  // a thread is never its own neighbor).
+  // a thread is never its own neighbor). The digraph stays implicit: a
+  // node's successors are read off holders_of_, so the partition costs
+  // O(nodes) memory however many edges the tuples induce.
   void partition() {
+    constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
     const std::size_t n = tuple_of_.size();
-    Digraph graph(static_cast<int>(n));
-    for (std::size_t u = 0; u < n; ++u)
-      for (std::uint32_t v : holders_of_[static_cast<std::size_t>(lock_[u])])
-        if (thread_[v] != thread_[u])
-          graph.add_edge_fast(static_cast<Digraph::Node>(u),
-                              static_cast<Digraph::Node>(v));
+    std::vector<std::uint32_t> index(n, kUnvisited);
+    std::vector<std::uint32_t> low(n, 0);
+    std::vector<bool> on_stack(n, false);
+    std::vector<std::uint32_t> stack;
+    struct Frame {
+      std::uint32_t node;
+      std::uint32_t next;  // position in the node's holder list
+    };
+    std::vector<Frame> frames;
+    std::uint32_t next_index = 0;
+    auto open = [&](std::uint32_t v) {
+      index[v] = low[v] = next_index++;
+      stack.push_back(v);
+      on_stack[v] = true;
+      frames.push_back({v, 0});
+    };
     comp_.assign(n, 0);
     comp_nontrivial_.clear();
-    const auto components = graph.strongly_connected_components();
     std::uint64_t nontrivial = 0;
-    for (std::size_t c = 0; c < components.size(); ++c) {
-      for (Digraph::Node node : components[c])
-        comp_[static_cast<std::size_t>(node)] = static_cast<std::uint32_t>(c);
-      const bool big = components[c].size() >= 2;
-      comp_nontrivial_.push_back(big);
-      if (big) ++nontrivial;
+    for (std::uint32_t root = 0; root < n; ++root) {
+      if (index[root] != kUnvisited) continue;
+      open(root);
+      while (!frames.empty()) {
+        Frame& f = frames.back();
+        const std::uint32_t u = f.node;
+        const auto& succ = holders_of_[static_cast<std::size_t>(lock_[u])];
+        if (f.next < succ.size()) {
+          const std::uint32_t v = succ[f.next++];
+          if (thread_[v] == thread_[u]) continue;
+          if (index[v] == kUnvisited) {
+            open(v);
+          } else if (on_stack[v]) {
+            low[u] = std::min(low[u], index[v]);
+          }
+          continue;
+        }
+        frames.pop_back();
+        if (!frames.empty()) {
+          const std::uint32_t parent = frames.back().node;
+          low[parent] = std::min(low[parent], low[u]);
+        }
+        if (low[u] != index[u]) continue;
+        const auto c = static_cast<std::uint32_t>(comp_nontrivial_.size());
+        std::size_t size = 0;
+        std::uint32_t w = 0;
+        do {
+          w = stack.back();
+          stack.pop_back();
+          on_stack[w] = false;
+          comp_[w] = c;
+          ++size;
+        } while (w != u);
+        comp_nontrivial_.push_back(size >= 2);
+        if (size >= 2) ++nontrivial;
+      }
     }
     kSccsVisited.add(nontrivial);
   }

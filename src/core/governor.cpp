@@ -1,6 +1,7 @@
 #include "core/governor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -33,23 +34,29 @@ double now_seconds() {
       .count();
 }
 
-std::uint64_t cycle_key(const PotentialDeadlock& cycle,
-                        const LockDependency& dep) {
-  DefectSignature sig = signature_of(cycle, dep);
-  std::uint64_t h = 0x90be17a9c0bef5ULL ^ sig.size();
-  for (SiteId s : sig)
-    h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)));
-  // Fold in the thread multiset so distinct cycles over the same sites
-  // still count separately.
-  std::vector<ThreadId> threads;
-  threads.reserve(cycle.tuple_idx.size());
-  for (std::size_t idx : cycle.tuple_idx)
-    threads.push_back(dep.tuples[idx].thread);
-  std::sort(threads.begin(), threads.end());
-  for (ThreadId t : threads)
-    h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)) +
-                   0x9e3779b97f4a7c15ULL));
-  return h;
+std::vector<std::int32_t> key_of(const LockTuple& t) {
+  std::vector<std::int32_t> key{t.thread, t.lock,
+                                static_cast<std::int32_t>(t.context.size())};
+  for (const ExecIndex& idx : t.context) key.push_back(idx.site);
+  return key;
+}
+
+// Threads are pairwise distinct along a cycle, so its keys are too and the
+// rotation to the smallest is unique.
+std::vector<std::int32_t> cycle_id(const PotentialDeadlock& cycle,
+                                   const LockDependency& dep) {
+  std::vector<std::vector<std::int32_t>> keys;
+  keys.reserve(cycle.tuple_idx.size());
+  for (std::size_t idx : cycle.tuple_idx) keys.push_back(key_of(dep.tuples[idx]));
+  const auto first = std::min_element(keys.begin(), keys.end());
+  std::rotate(keys.begin(), first, keys.end());
+  std::vector<std::int32_t> id;
+  for (const auto& key : keys) id.insert(id.end(), key.begin(), key.end());
+  return id;
+}
+
+std::size_t pushed_capacity(std::size_t n) {
+  return n == 0 ? 0 : std::bit_ceil(n);
 }
 
 }  // namespace
@@ -108,9 +115,16 @@ DetectionLevel next_rung(DetectionLevel current, double detect_seconds,
   return current;
 }
 
-std::size_t tuple_bytes(const LockTuple& tuple) {
-  return sizeof(LockTuple) + tuple.lockset.capacity() * sizeof(LockId) +
-         tuple.context.capacity() * sizeof(ExecIndex);
+std::size_t tuple_bytes(std::size_t depth) {
+  return sizeof(LockTuple) + pushed_capacity(depth) * sizeof(LockId) +
+         pushed_capacity(depth + 1) * sizeof(ExecIndex);
+}
+
+std::size_t Governor::CycleIdHash::operator()(const CycleId& id) const {
+  std::uint64_t h = 0x90be17a9c0bef5ULL ^ id.size();
+  for (std::int32_t v : id)
+    h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
+  return static_cast<std::size_t>(h);
 }
 
 Governor::Governor(const GovernorOptions& options) : options_(options) {
@@ -125,6 +139,7 @@ void Governor::add(const Event& e) {
   // after the throw — stop ingesting, keep what was built, and report the
   // run as incomplete rather than crashing or silently analyzing garbage.
   if (poisoned_) return;
+  const std::size_t rows = builder_.tuple_count();
   try {
     builder_.add(e);
   } catch (const std::exception& ex) {
@@ -137,13 +152,18 @@ void Governor::add(const Event& e) {
     }
     return;
   }
-  const auto& tuples = builder_.pending().tuples;
-  for (std::size_t i = tuples_fed_; i < tuples.size(); ++i) {
-    prefilter_.on_tuple(tuples[i]);
-    store_bytes_ += tuple_bytes(tuples[i]);
-    tuples_by_lock_[tuples[i].lock].push_back(i);
+  if (builder_.tuple_count() != rows) {
+    // The lock graph does edge work once per live shape: every occurrence
+    // of a shape has the same thread and lockset, so a duplicate only
+    // re-marks its locks dirty.
+    const LockDependencyBuilder::Shape& shape =
+        builder_.shape(builder_.rows().back().shape);
+    if (shape.live == 1)
+      prefilter_.on_tuple(shape.thread, shape.lock, shape.lockset());
+    else
+      prefilter_.on_duplicate(shape.lock, shape.lockset());
+    store_bytes_ += tuple_bytes(shape.depth);
   }
-  tuples_fed_ = tuples.size();
   if (++window_events_ >= options_.window_events) close_window();
 }
 
@@ -161,11 +181,7 @@ void Governor::note_event(GovernorVerdict& v, std::string note) const {
 
 void Governor::surface_new_cycles(const Detection& det, WindowReport& w) {
   for (const PotentialDeadlock& cycle : det.cycles) {
-    const std::uint64_t key = cycle_key(cycle, det.dep);
-    if (std::find(seen_cycle_keys_.begin(), seen_cycle_keys_.end(), key) !=
-        seen_cycle_keys_.end())
-      continue;
-    seen_cycle_keys_.push_back(key);
+    if (!seen_cycles_.insert(cycle_id(cycle, det.dep)).second) continue;
     ++w.new_cycles;
     ++live_cycles_;
     if (options_.on_cycle) {
@@ -205,16 +221,12 @@ void Governor::run_window_detection(WindowReport& w) {
 
   // A cycle's requested locks all lie in one lock-graph SCC, so the tuples
   // whose request lock belongs to a dirty suspicious SCC form a complete
-  // enumeration domain for every cycle those SCCs could newly carry. An
-  // empty drain means the suspicious SCCs are all unchanged.
-  std::vector<std::size_t> subset;
-  for (LockId lock : prefilter_.drain_dirty_suspicious_locks()) {
-    auto it = tuples_by_lock_.find(lock);
-    if (it == tuples_by_lock_.end()) continue;
-    subset.insert(subset.end(), it->second.begin(), it->second.end());
-  }
+  // enumeration domain for every cycle those SCCs could newly carry, and
+  // enumeration reads only the canonical ones. An empty drain means the
+  // suspicious SCCs are all unchanged.
+  const std::vector<std::size_t> subset =
+      builder_.canonical_rows(prefilter_.drain_dirty_suspicious_locks());
   if (subset.empty()) return;
-  std::sort(subset.begin(), subset.end());  // canonical trace order
   surface_new_cycles(finish_detection(builder_.snapshot_subset(subset),
                                       builder_.clocks(), opt),
                      w);
@@ -222,15 +234,8 @@ void Governor::run_window_detection(WindowReport& w) {
 
 void Governor::recompute_store_bytes() {
   store_bytes_ = 0;
-  for (const LockTuple& t : builder_.pending().tuples)
-    store_bytes_ += tuple_bytes(t);
-}
-
-void Governor::rebuild_lock_index() {
-  tuples_by_lock_.clear();
-  const auto& tuples = builder_.pending().tuples;
-  for (std::size_t i = 0; i < tuples.size(); ++i)
-    tuples_by_lock_[tuples[i].lock].push_back(i);
+  for (const LockDependencyBuilder::Row& row : builder_.rows())
+    store_bytes_ += tuple_bytes(builder_.shape(row.shape).depth);
 }
 
 void Governor::govern_memory(WindowReport& w) {
@@ -238,33 +243,33 @@ void Governor::govern_memory(WindowReport& w) {
   const std::size_t budget = options_.memory_budget_mb << 20;
   if (store_bytes_ <= budget) return;
 
-  // Every dropped tuple is reported to the pre-filter so its lock-graph edge
-  // refcounts (and hence SCCs) track the live store.
-  const LockDependencyBuilder::RemovalHook expire =
-      [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); };
+  // Every shape whose last live row is dropped is reported to the
+  // pre-filter so its lock-graph edge refcounts (and hence SCCs) track the
+  // live store.
+  const LockDependencyBuilder::ExpiryHook expire =
+      [this](const LockDependencyBuilder::Shape& s) {
+        prefilter_.on_tuple_removed(s.lock, s.lockset());
+      };
 
   // Rung 1: compaction — lossless for the cycle set (enumeration runs over
   // the canonical view), so it is always tried first.
   w.tuples_compacted = builder_.compact(expire);
   recompute_store_bytes();
-  tuples_fed_ = builder_.pending().tuples.size();
   if (w.tuples_compacted > 0) kCompactionsCounter.add();
   if (store_bytes_ > budget) {
     // Rung 2: aging — evict the oldest tuples down to ~90% of the budget so
     // the next window has headroom. Lossy; the report must say so.
-    const std::size_t live = builder_.pending().tuples.size();
+    const std::size_t live = builder_.tuple_count();
     const std::size_t avg =
         live == 0 ? 1 : std::max<std::size_t>(1, store_bytes_ / live);
     const std::size_t max_tuples = (budget - budget / 10) / avg;
     w.tuples_evicted = builder_.evict_oldest(max_tuples, expire);
     recompute_store_bytes();
-    tuples_fed_ = builder_.pending().tuples.size();
     if (w.tuples_evicted > 0) {
       w.level = DetectionLevel::kShedding;
       kEvictedCounter.add(w.tuples_evicted);
     }
   }
-  if (w.tuples_compacted + w.tuples_evicted > 0) rebuild_lock_index();
 }
 
 void Governor::close_window() {
@@ -287,7 +292,7 @@ void Governor::close_window() {
   }
   w.detect_seconds = now_seconds() - t0;
   govern_memory(w);
-  w.tuples_live = builder_.pending().tuples.size();
+  w.tuples_live = builder_.tuple_count();
   w.store_bytes = store_bytes_;
 
   rung_ = next_rung(rung_, w.detect_seconds, options_.window_deadline_ms,
@@ -327,7 +332,6 @@ Detection Governor::finish() {
     LockDependency dep = builder_.take_dependency();
     ClockTracker clocks = builder_.clocks();
     builder_.clear();
-    tuples_by_lock_.clear();
     if (options_.fault != nullptr && options_.fault->detect_throw_final)
       throw std::runtime_error("injected final detection fault");
     det = finish_detection(std::move(dep), std::move(clocks),

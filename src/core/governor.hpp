@@ -40,10 +40,10 @@
 //
 // Per-window enumeration is *incremental* (DESIGN.md §16): the pre-filter
 // maintains its SCC decomposition under tuple arrival and expiry
-// (graph/dynamic_scc.hpp), and a window enumerates only the tuples whose
-// request lock lies in a *dirty* suspicious SCC — one whose membership,
-// edges, or fed tuples changed since the last enumerating window — through
-// LockDependencyBuilder::snapshot_subset. finish() enumerates everything
+// (graph/dynamic_scc.hpp), and a window enumerates only the canonical tuples
+// whose request lock lies in a *dirty* suspicious SCC — one whose
+// membership, edges, or fed tuples changed since the last enumerating
+// window — through LockDependencyBuilder::snapshot_subset. finish() enumerates everything
 // retained, so the window path only decides *when* a cycle surfaces, never
 // *whether* it is reported. Windows can surface each first-sighted cycle to
 // a CycleSubscriber the moment it is found.
@@ -56,7 +56,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -82,7 +82,8 @@ struct LiveCycle {
   std::size_t window = 0;    // WindowReport::index that surfaced it
   std::size_t sequence = 0;  // 1-based count of cycles surfaced so far
   const PotentialDeadlock* cycle = nullptr;
-  const LockDependency* dep = nullptr;  // the enumeration's tuple view
+  // The enumeration's tuple view: the window's canonical tuples.
+  const LockDependency* dep = nullptr;
 };
 
 // Subscription must be observation-only: finish() returns byte-identical
@@ -158,9 +159,12 @@ struct GovernorVerdict {
 DetectionLevel next_rung(DetectionLevel current, double detect_seconds,
                          std::int64_t deadline_ms, int& fast_streak);
 
-// Approximate heap footprint of one stored tuple (vector capacities
-// included) — the unit of the governor's memory accounting.
-std::size_t tuple_bytes(const LockTuple& tuple);
+// The unit of the governor's memory accounting: the approximate heap
+// footprint of one D_σ tuple with `depth` held locks, stored as a LockTuple
+// whose lockset and context vectors grew by push_back (vector capacities
+// included). Every row of a shape costs the same, so the budget charges the
+// interned store exactly what a store of materialized tuples would take.
+std::size_t tuple_bytes(std::size_t depth);
 
 class Governor {
  public:
@@ -198,8 +202,6 @@ class Governor {
   // Budget enforcement: compaction, then aging. Updates store_bytes_.
   void govern_memory(WindowReport& w);
   void recompute_store_bytes();
-  // Re-keys tuples_by_lock_ after compaction/eviction renumbered the store.
-  void rebuild_lock_index();
   void note_event(GovernorVerdict& v, std::string note) const;
 
   GovernorOptions options_;
@@ -216,16 +218,18 @@ class Governor {
   DetectionLevel rung_ = DetectionLevel::kFullScc;
   int fast_streak_ = 0;
   std::size_t window_events_ = 0;      // events in the open window
-  std::size_t tuples_fed_ = 0;         // tuples already fed to the prefilter
   std::size_t store_bytes_ = 0;
-  // Cycles already surfaced by per-window enumeration, keyed by signature
-  // hash — so new_cycles counts first sightings only.
-  std::vector<std::uint64_t> seen_cycle_keys_;
+  // Cycles already surfaced by per-window enumeration, so new_cycles counts
+  // first sightings only. A cycle's identity is its tuples' dedup keys
+  // (thread, lock, context sites) in cycle order, rotated to start at the
+  // smallest: exact, and stable when compaction or eviction changes which
+  // occurrence of a key is canonical.
+  using CycleId = std::vector<std::int32_t>;
+  struct CycleIdHash {
+    std::size_t operator()(const CycleId& id) const;
+  };
+  std::unordered_set<CycleId, CycleIdHash> seen_cycles_;
   std::size_t live_cycles_ = 0;
-  // Store indices by request lock, so a dirty SCC's lock list maps straight
-  // to the tuple subset to enumerate. Rebuilt after compaction/eviction
-  // (which renumber the store).
-  std::unordered_map<LockId, std::vector<std::size_t>> tuples_by_lock_;
 };
 
 }  // namespace wolf

@@ -13,7 +13,7 @@ const obs::Counter kChecksCounter("prefilter.checks");
 const obs::Counter kExpiriesCounter("prefilter.edge_expiries");
 }  // namespace
 
-GuardMask lockset_mask(const std::vector<LockId>& lockset) {
+GuardMask lockset_mask(std::span<const LockId> lockset) {
   GuardMask mask;
   for (LockId l : lockset)
     mask.set(static_cast<std::size_t>(static_cast<std::uint32_t>(l)));
@@ -30,12 +30,13 @@ int LockGraph::intern(LockId lock) {
   return it->second;
 }
 
-void LockGraph::on_tuple(const LockTuple& tuple) {
-  if (tuple.lockset.empty()) return;  // top-of-stack acquisitions add no edge
-  const int to = intern(tuple.lock);
-  const GuardMask guards = lockset_mask(tuple.lockset);
+void LockGraph::on_tuple(ThreadId thread, LockId lock,
+                         std::span<const LockId> lockset) {
+  if (lockset.empty()) return;  // top-of-stack acquisitions add no edge
+  const int to = intern(lock);
+  const GuardMask guards = lockset_mask(lockset);
   scc_.mark_dirty(to);
-  for (LockId held : tuple.lockset) {
+  for (LockId held : lockset) {
     const int from = intern(held);
     scc_.mark_dirty(from);
     std::vector<Edge>& edges = out_[static_cast<std::size_t>(from)];
@@ -45,7 +46,7 @@ void LockGraph::on_tuple(const LockTuple& tuple) {
       Edge e;
       e.to = to;
       e.refcount = 1;
-      e.first_thread = tuple.thread;
+      e.first_thread = thread;
       e.guard_mask = guards;
       edges.push_back(e);
       ++edge_count_;
@@ -57,27 +58,33 @@ void LockGraph::on_tuple(const LockTuple& tuple) {
     // guard intersection. The dirty marks above are unconditional because a
     // re-fed edge can still carry a brand-new canonical tuple.
     ++it->refcount;
-    if (it->first_thread != tuple.thread) it->multi_thread = true;
+    if (it->first_thread != thread) it->multi_thread = true;
     it->guard_mask &= guards;
   }
 }
 
-void LockGraph::on_tuple_removed(const LockTuple& tuple) {
-  if (tuple.lockset.empty()) return;
-  auto to_it = lock_ids_.find(tuple.lock);
-  WOLF_CHECK_MSG(to_it != lock_ids_.end(),
-                 "on_tuple_removed: unknown request lock " << tuple.lock);
-  const int to = to_it->second;
-  for (LockId held : tuple.lockset) {
-    auto from_it = lock_ids_.find(held);
-    WOLF_CHECK_MSG(from_it != lock_ids_.end(),
-                   "on_tuple_removed: unknown held lock " << held);
-    const int from = from_it->second;
+void LockGraph::on_duplicate(LockId lock, std::span<const LockId> lockset) {
+  if (lockset.empty()) return;
+  scc_.mark_dirty(node_of(lock));
+  for (LockId held : lockset) scc_.mark_dirty(node_of(held));
+}
+
+int LockGraph::node_of(LockId lock) const {
+  auto it = lock_ids_.find(lock);
+  WOLF_CHECK_MSG(it != lock_ids_.end(), "lock graph: unknown lock " << lock);
+  return it->second;
+}
+
+void LockGraph::on_tuple_removed(LockId lock, std::span<const LockId> lockset) {
+  if (lockset.empty()) return;
+  const int to = node_of(lock);
+  for (LockId held : lockset) {
+    const int from = node_of(held);
     std::vector<Edge>& edges = out_[static_cast<std::size_t>(from)];
     auto it = std::find_if(edges.begin(), edges.end(),
                            [&](const Edge& e) { return e.to == to; });
     WOLF_CHECK_MSG(it != edges.end() && it->refcount > 0,
-                   "on_tuple_removed: edge " << held << "->" << tuple.lock
+                   "on_tuple_removed: edge " << held << "->" << lock
                                              << " has no live contributor");
     if (--it->refcount > 0) continue;  // survivors keep (stale, sound) masks
     edges.erase(it);

@@ -47,6 +47,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -92,16 +93,29 @@ struct GuardMask {
 
 class LockGraph {
  public:
-  // Folds one D_σ tuple into the graph. Also marks the tuple's locks dirty:
-  // a re-fed canonical shape can still be a *new* tuple whose cycle has not
-  // been enumerated, so the consumer must revisit its component.
-  void on_tuple(const LockTuple& tuple);
+  // Folds one D_σ tuple — or the first live occurrence of a shape, which
+  // is the governor's unit — into the graph. Also marks the tuple's locks
+  // dirty: a re-fed canonical shape can still be a *new* tuple whose cycle
+  // has not been enumerated, so the consumer must revisit its component.
+  void on_tuple(ThreadId thread, LockId lock, std::span<const LockId> lockset);
+  void on_tuple(const LockTuple& tuple) {
+    on_tuple(tuple.thread, tuple.lock, tuple.lockset);
+  }
 
-  // Retracts one tuple's contribution (compaction/eviction expiry). Each
-  // held→request edge is refcounted; the edge leaves the graph — possibly
-  // splitting its SCC — only when its last contributor expires. Thread and
-  // guard refinements are left stale-but-conservative (see header comment).
-  void on_tuple_removed(const LockTuple& tuple);
+  // A further occurrence of a live shape: thread and lockset match the
+  // contribution already counted, so edges, thread sets and guards are
+  // unchanged — only the dirty marks on_tuple() would set are re-set.
+  void on_duplicate(LockId lock, std::span<const LockId> lockset);
+
+  // Retracts one contribution (the last live occurrence of a shape, or one
+  // tuple). Each held→request edge is refcounted; the edge leaves the
+  // graph — possibly splitting its SCC — only when its last contributor
+  // expires. Thread and guard refinements are left stale-but-conservative
+  // (see header comment).
+  void on_tuple_removed(LockId lock, std::span<const LockId> lockset);
+  void on_tuple_removed(const LockTuple& tuple) {
+    on_tuple_removed(tuple.lock, tuple.lockset);
+  }
 
   // Sound verdict over everything added so far: false guarantees that the
   // live tuples admit no potential-deadlock cycle. Re-evaluates only the
@@ -141,6 +155,7 @@ class LockGraph {
   };
 
   int intern(LockId lock);
+  int node_of(LockId lock) const;  // an interned lock's node
   // Refinement verdict for one live component over its internal edges.
   bool evaluate(int comp) const;
   // Re-evaluates every dirty component's cached verdict (without consuming
@@ -167,6 +182,6 @@ class LockGraph {
 
 // Lockset bitmask over the first GuardMask::kBits lock ids; see GuardMask
 // for the conservative-drop argument.
-GuardMask lockset_mask(const std::vector<LockId>& lockset);
+GuardMask lockset_mask(std::span<const LockId> lockset);
 
 }  // namespace wolf

@@ -22,6 +22,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -33,6 +34,7 @@
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
 #include "workloads/paper_examples.hpp"
+#include "workloads/suite.hpp"
 
 namespace wolf {
 namespace {
@@ -121,19 +123,19 @@ TEST(PrefilterTest, SingleThreadCycleIsNotSuspicious) {
 }
 
 TEST(PrefilterTest, LocksetMaskCoversFourWordsAndDropsTheRest) {
-  GuardMask low = lockset_mask({0, 3});
+  GuardMask low = lockset_mask(std::vector<LockId>{0, 3});
   EXPECT_EQ(low.w[0], (1ULL << 0) | (1ULL << 3));
   EXPECT_TRUE(low.any());
   // Lock 70 used to vanish from the old single-word mask; it now lands in
   // word 1 and can still discharge an SCC as a guard.
-  GuardMask mid = lockset_mask({70});
+  GuardMask mid = lockset_mask(std::vector<LockId>{70});
   EXPECT_EQ(mid.w[1], 1ULL << 6);
   EXPECT_TRUE(mid.any());
-  EXPECT_EQ(lockset_mask({255}).w[3], 1ULL << 63);
+  EXPECT_EQ(lockset_mask(std::vector<LockId>{255}).w[3], 1ULL << 63);
   // Locks >= GuardMask::kBits vanish: a vanished guard can only weaken the
   // common-guard refinement (more suspicious), never discharge an SCC.
-  EXPECT_FALSE(lockset_mask({static_cast<LockId>(GuardMask::kBits)}).any());
-  EXPECT_FALSE(lockset_mask({1000}).any());
+  EXPECT_FALSE(lockset_mask(std::vector<LockId>{static_cast<LockId>(GuardMask::kBits)}).any());
+  EXPECT_FALSE(lockset_mask(std::vector<LockId>{1000}).any());
 }
 
 TEST(PrefilterTest, GateLockAboveSixtyFourStillDischargesHundredLockTrace) {
@@ -275,11 +277,10 @@ TEST(GovernorTest, EvictOldestDropsFromTheFront) {
   for (const Event& e : ab_ba_trace(false).events) builder.add(e);
   const std::size_t total = builder.tuple_count();
   ASSERT_GE(total, 3u);
-  const std::size_t first_kept =
-      builder.pending().tuples[total - 2].trace_pos;
+  const std::size_t first_kept = builder.rows()[total - 2].trace_pos;
   EXPECT_EQ(builder.evict_oldest(2), total - 2);
   EXPECT_EQ(builder.tuple_count(), 2u);
-  EXPECT_EQ(builder.pending().tuples.front().trace_pos, first_kept);
+  EXPECT_EQ(builder.rows().front().trace_pos, first_kept);
   EXPECT_EQ(builder.evict_oldest(10), 0u);  // already under the cap
 }
 
@@ -656,6 +657,57 @@ TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
   EXPECT_EQ(signatures_of(sub_det), signatures_of(plain_det));
   EXPECT_EQ(subscribed.verdict().coverage_complete,
             plain.verdict().coverage_complete);
+}
+
+// Counts live deliveries of a governed run at `window` and returns them
+// with the final Detection.
+std::pair<std::size_t, Detection> live_and_final(const Trace& trace,
+                                                 std::size_t window) {
+  std::size_t live = 0;
+  GovernorOptions options;
+  options.window_events = window;
+  options.on_cycle = [&live](const LiveCycle&) { ++live; };
+  Governor governor(options);
+  for (const Event& e : trace.events) governor.add(e);
+  Detection det = governor.finish();
+  EXPECT_EQ(governor.cycles_surfaced_live(), live);
+  return {live, std::move(det)};
+}
+
+TEST(GovernorTest, RingsOnOtherLocksAtTheSameSitesBothSurfaceLive) {
+  // Two AB/BA rings by the same two threads at the same four sites, one on
+  // locks (10, 20), one on (30, 40): distinct cycles with identical site
+  // signatures and thread sets. Both must surface, each once.
+  Trace trace;
+  for (auto [a, b] : {std::pair<LockId, LockId>{10, 20}, {30, 40}}) {
+    trace.events.push_back(acquire(1, a, 1));
+    trace.events.push_back(acquire(1, b, 2));
+    trace.events.push_back(release(1, b));
+    trace.events.push_back(release(1, a));
+    trace.events.push_back(acquire(2, b, 3));
+    trace.events.push_back(acquire(2, a, 4));
+    trace.events.push_back(release(2, a));
+    trace.events.push_back(release(2, b));
+  }
+  for (std::size_t i = 0; i < trace.events.size(); ++i) trace.events[i].seq = i;
+
+  for (std::size_t window : {std::size_t{4}, std::size_t{8}, std::size_t{64}}) {
+    const auto [live, det] = live_and_final(trace, window);
+    EXPECT_EQ(det.cycles.size(), 2u) << window;
+    EXPECT_EQ(live, 2u) << window;
+  }
+}
+
+TEST(GovernorTest, EveryTable2ProgramSurfacesEachFinalCycleLive) {
+  // The Table 2 suite recorded at seed 2014, window 8: the live count must
+  // equal the final cycle count for every program (cycles that share their
+  // acquire sites and threads are still distinct cycles).
+  for (const workloads::Benchmark& b : workloads::standard_suite()) {
+    auto trace = sim::record_trace(b.program, 2014, 60, b.max_steps);
+    ASSERT_TRUE(trace.has_value()) << b.name;
+    const auto [live, det] = live_and_final(*trace, 8);
+    EXPECT_EQ(live, det.cycles.size()) << b.name;
+  }
 }
 
 TEST(GovernorTest, ThrowingSubscriberIsContainedAsAWindowFault) {

@@ -1,8 +1,11 @@
 #include "testutil.hpp"
 
 #include <algorithm>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "support/check.hpp"
 
 
 namespace wolf::test {
@@ -205,6 +208,231 @@ Detection detect_reference(const Trace& trace, const DetectorOptions& options) {
   det.cycle_cap = res.truncated ? options.max_cycles : 0;
   det.defects = group_defects(det.cycles, det.dep);
   return det;
+}
+
+// ------------------------------------------------------ D_σ store oracle
+
+namespace {
+
+std::vector<std::int32_t> tuple_key(const LockTuple& t) {
+  std::vector<std::int32_t> key{t.thread, t.lock};
+  for (const ExecIndex& idx : t.context) key.push_back(idx.site);
+  return key;
+}
+
+void compute_unique(LockDependency& dep) {
+  std::set<std::vector<std::int32_t>> seen;
+  dep.unique.clear();
+  for (std::size_t i = 0; i < dep.tuples.size(); ++i)
+    if (seen.insert(tuple_key(dep.tuples[i])).second) dep.unique.push_back(i);
+}
+
+}  // namespace
+
+void ReferenceBuilder::add(const Event& e) {
+  const std::size_t pos = pos_++;
+  clocks_.apply(e);
+  if (e.kind == EventKind::kLockAcquire) {
+    auto& stack = held_[e.thread];
+    LockTuple tuple;
+    tuple.thread = e.thread;
+    tuple.lock = e.lock;
+    tuple.tau = clocks_.timestamp(e.thread);
+    tuple.trace_pos = pos;
+    for (const auto& [l, idx] : stack) {
+      tuple.lockset.push_back(l);
+      tuple.context.push_back(idx);
+    }
+    tuple.context.push_back(e.index());
+    dep_.tuples.push_back(std::move(tuple));
+    stack.emplace_back(e.lock, e.index());
+  } else if (e.kind == EventKind::kLockRelease) {
+    auto& stack = held_[e.thread];
+    auto it = std::find_if(stack.rbegin(), stack.rend(),
+                           [&](const auto& h) { return h.first == e.lock; });
+    WOLF_CHECK_MSG(it != stack.rend(),
+                   "trace releases lock " << e.lock << " not held by t"
+                                          << e.thread);
+    stack.erase(std::next(it).base());
+  }
+}
+
+LockDependency ReferenceBuilder::take_dependency() {
+  compute_unique(dep_);
+  LockDependency out = std::move(dep_);
+  dep_ = LockDependency{};
+  return out;
+}
+
+LockDependency ReferenceBuilder::snapshot_dependency() const {
+  LockDependency copy = dep_;
+  compute_unique(copy);
+  return copy;
+}
+
+LockDependency ReferenceBuilder::snapshot_subset(
+    const std::vector<std::size_t>& indices) const {
+  LockDependency sub;
+  for (std::size_t i : indices) sub.tuples.push_back(dep_.tuples[i]);
+  compute_unique(sub);
+  return sub;
+}
+
+std::size_t ReferenceBuilder::compact(const RemovalHook& on_remove) {
+  std::set<std::vector<std::int32_t>> seen;
+  std::vector<LockTuple> kept;
+  for (LockTuple& t : dep_.tuples) {
+    if (seen.insert(tuple_key(t)).second) {
+      kept.push_back(std::move(t));
+    } else if (on_remove) {
+      on_remove(t);
+    }
+  }
+  const std::size_t removed = dep_.tuples.size() - kept.size();
+  dep_.tuples = std::move(kept);
+  return removed;
+}
+
+std::size_t ReferenceBuilder::evict_oldest(std::size_t max_tuples,
+                                           const RemovalHook& on_remove) {
+  if (dep_.tuples.size() <= max_tuples) return 0;
+  const std::size_t evicted = dep_.tuples.size() - max_tuples;
+  if (on_remove)
+    for (std::size_t i = 0; i < evicted; ++i) on_remove(dep_.tuples[i]);
+  dep_.tuples.erase(dep_.tuples.begin(),
+                    dep_.tuples.begin() + static_cast<std::ptrdiff_t>(evicted));
+  return evicted;
+}
+
+namespace {
+
+// What the store charged a materialized tuple: its vectors' capacities.
+std::size_t charged_bytes(const LockTuple& t) {
+  return sizeof(LockTuple) + t.lockset.capacity() * sizeof(LockId) +
+         t.context.capacity() * sizeof(ExecIndex);
+}
+
+}  // namespace
+
+ReferenceGovernor::ReferenceGovernor(const GovernorOptions& options)
+    : options_(options) {}
+
+void ReferenceGovernor::note(std::string text) {
+  if (verdict_.notes.size() < 16) {
+    verdict_.notes.push_back(std::move(text));
+  } else if (verdict_.notes.size() == 16) {
+    verdict_.notes.push_back("(further notes suppressed)");
+  }
+}
+
+void ReferenceGovernor::add(const Event& e) {
+  if (poisoned_) return;
+  const std::size_t before = builder_.tuple_count();
+  try {
+    builder_.add(e);
+  } catch (const std::exception& ex) {
+    poisoned_ = true;
+    verdict_.coverage_complete = false;
+    note(std::string("malformed event rejected, later input ignored: ") +
+         ex.what());
+    return;
+  }
+  for (std::size_t i = before; i < builder_.tuple_count(); ++i) {
+    prefilter_.on_tuple(builder_.tuples()[i]);
+    store_bytes_ += charged_bytes(builder_.tuples()[i]);
+  }
+  if (++window_events_ >= options_.window_events) close_window();
+}
+
+void ReferenceGovernor::govern_memory(WindowReport& w) {
+  if (options_.memory_budget_mb == 0) return;
+  const std::size_t budget = options_.memory_budget_mb << 20;
+  if (store_bytes_ <= budget) return;
+  const ReferenceBuilder::RemovalHook expire = [this](const LockTuple& t) {
+    prefilter_.on_tuple_removed(t);
+  };
+  auto recount = [&] {
+    store_bytes_ = 0;
+    for (const LockTuple& t : builder_.tuples()) store_bytes_ += charged_bytes(t);
+  };
+  w.tuples_compacted = builder_.compact(expire);
+  recount();
+  if (store_bytes_ <= budget) return;
+  const std::size_t live = builder_.tuple_count();
+  const std::size_t avg =
+      live == 0 ? 1 : std::max<std::size_t>(1, store_bytes_ / live);
+  w.tuples_evicted =
+      builder_.evict_oldest((budget - budget / 10) / avg, expire);
+  recount();
+  if (w.tuples_evicted > 0) w.level = DetectionLevel::kShedding;
+}
+
+void ReferenceGovernor::close_window() {
+  WindowReport w;
+  w.index = windows_.size();
+  w.events = window_events_;
+  if (prefilter_.has_dirty()) {
+    w.suspicious = prefilter_.suspicious();
+    const std::vector<LockId> locks = prefilter_.drain_dirty_suspicious_locks();
+    std::vector<std::size_t> subset;
+    if (w.suspicious) {
+      for (std::size_t i = 0; i < builder_.tuple_count(); ++i)
+        if (std::find(locks.begin(), locks.end(), builder_.tuples()[i].lock) !=
+            locks.end())
+          subset.push_back(i);
+    }
+    if (!subset.empty()) {
+      const Detection det = finish_detection(builder_.snapshot_subset(subset),
+                                             builder_.clocks(),
+                                             options_.detector);
+      for (const PotentialDeadlock& cycle : det.cycles) {
+        // The smallest rotation of the cycle's key sequence.
+        std::vector<std::vector<std::int32_t>> keys, id;
+        for (std::size_t idx : cycle.tuple_idx)
+          keys.push_back(tuple_key(det.dep.tuples[idx]));
+        for (std::size_t r = 0; r < keys.size(); ++r) {
+          std::vector<std::vector<std::int32_t>> rotated(keys.begin() + r,
+                                                         keys.end());
+          rotated.insert(rotated.end(), keys.begin(), keys.begin() + r);
+          if (id.empty() || rotated < id) id = std::move(rotated);
+        }
+        if (std::find(seen_cycles_.begin(), seen_cycles_.end(), id) !=
+            seen_cycles_.end())
+          continue;
+        seen_cycles_.push_back(std::move(id));
+        ++w.new_cycles;
+        live_.push_back(std::to_string(w.index) + " #" +
+                        std::to_string(live_.size() + 1) + ": " +
+                        cycle.to_string(det.dep));
+      }
+    }
+  }
+  govern_memory(w);
+  w.tuples_live = builder_.tuple_count();
+  w.store_bytes = store_bytes_;
+  ++verdict_.windows;
+  if (w.suspicious) ++verdict_.suspicious_windows;
+  verdict_.tuples_compacted += w.tuples_compacted;
+  if (w.tuples_evicted > 0) {
+    verdict_.tuples_evicted += w.tuples_evicted;
+    if (verdict_.coverage_complete) {
+      verdict_.coverage_complete = false;
+      note("window " + std::to_string(w.index) +
+           ": memory budget forced eviction of " +
+           std::to_string(w.tuples_evicted) +
+           " tuples; coverage is incomplete from here");
+    }
+  }
+  if (w.degraded()) ++verdict_.degraded_windows;
+  windows_.push_back(std::move(w));
+  window_events_ = 0;
+}
+
+Detection ReferenceGovernor::finish() {
+  if (window_events_ > 0) close_window();
+  LockDependency dep = builder_.take_dependency();
+  return finish_detection(std::move(dep), builder_.clocks(),
+                          options_.detector);
 }
 
 }  // namespace wolf::test

@@ -3,15 +3,21 @@
 // is well nested, control flow is branch-free (so a completed trace covers
 // every operation — the premise under which the detector is complete), and
 // every operation gets a unique source site (so deadlock signatures identify
-// operations exactly). Also home to the reference cycle enumerator, the
-// oracle the production engine (core/cycle_engine.hpp) is checked against.
+// operations exactly). Also home to the oracles the production code is
+// checked against: the reference cycle enumerator (core/cycle_engine.hpp)
+// and the array-of-structs D_σ store with the governor that drove it
+// (core/lock_dependency.hpp, core/governor.hpp).
 #pragma once
 
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cycle_engine.hpp"
 #include "core/detector.hpp"
+#include "core/governor.hpp"
 #include "sim/program.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
@@ -47,5 +53,67 @@ EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
 // detect() with the reference enumerator in place of the production engine:
 // the same D_σ and clocks, the same defect grouping.
 Detection detect_reference(const Trace& trace, const DetectorOptions& options);
+
+// The D_σ store as an array of structs: one materialized LockTuple per
+// acquire, `unique` computed by hashing every tuple's (thread, lock,
+// context sites) key. The interning LockDependencyBuilder must hand out
+// exactly what this hands out.
+class ReferenceBuilder {
+ public:
+  using RemovalHook = std::function<void(const LockTuple&)>;
+
+  void add(const Event& e);
+  std::size_t tuple_count() const { return dep_.tuples.size(); }
+  const std::vector<LockTuple>& tuples() const { return dep_.tuples; }
+  const ClockTracker& clocks() const { return clocks_; }
+
+  LockDependency take_dependency();
+  LockDependency snapshot_dependency() const;
+  LockDependency snapshot_subset(const std::vector<std::size_t>& indices) const;
+  // Drops every tuple but the first occurrence of its key.
+  std::size_t compact(const RemovalHook& on_remove = {});
+  // Drops the oldest tuples until at most `max_tuples` remain.
+  std::size_t evict_oldest(std::size_t max_tuples,
+                           const RemovalHook& on_remove = {});
+
+ private:
+  LockDependency dep_;
+  ClockTracker clocks_;
+  std::map<ThreadId, std::vector<std::pair<LockId, ExecIndex>>> held_;
+  std::size_t pos_ = 0;
+};
+
+// The governor over ReferenceBuilder: every tuple is fed to the lock graph
+// and charged tuple_bytes() of its own vectors, windows enumerate every
+// tuple whose lock lies in a dirty suspicious SCC, and a cycle is new unless
+// the same sequence of tuple keys, up to rotation, surfaced before. No deadline ladder and no fault plan: a
+// run stays at kFullScc unless eviction marks a window kShedding.
+class ReferenceGovernor {
+ public:
+  explicit ReferenceGovernor(const GovernorOptions& options);
+
+  void add(const Event& e);
+  Detection finish();
+  const std::vector<WindowReport>& windows() const { return windows_; }
+  const GovernorVerdict& verdict() const { return verdict_; }
+  // One line per live cycle: "<window> #<sequence>: <description>".
+  const std::vector<std::string>& live() const { return live_; }
+
+ private:
+  void close_window();
+  void govern_memory(WindowReport& w);
+  void note(std::string text);
+
+  GovernorOptions options_;
+  ReferenceBuilder builder_;
+  LockGraph prefilter_;
+  std::vector<WindowReport> windows_;
+  GovernorVerdict verdict_;
+  bool poisoned_ = false;
+  std::size_t window_events_ = 0;
+  std::size_t store_bytes_ = 0;
+  std::vector<std::vector<std::vector<std::int32_t>>> seen_cycles_;
+  std::vector<std::string> live_;
+};
 
 }  // namespace wolf::test
