@@ -1,5 +1,6 @@
 #include "wolf.hpp"
 
+#include <cstdint>
 #include <sstream>
 
 namespace wolf {
@@ -41,6 +42,11 @@ std::vector<ConfigIssue> Config::validate() const {
                     "cannot close zero-event windows)"));
   if (window_deadline_ms < 0)
     issues.push_back(fatal_issue("window_deadline_ms must be >= 0"));
+  // The governor budgets bytes (memory_budget_mb << 20): anything larger
+  // would wrap to a tiny or zero budget and evict every tuple.
+  if (memory_budget_mb > (SIZE_MAX >> 20))
+    issues.push_back(fatal_issue("memory_budget_mb must be <= " +
+                                 std::to_string(SIZE_MAX >> 20)));
 
   // Conflicts: legal, but one of the two settings silently wins. Non-fatal
   // so existing invocations keep working; callers surface these as

@@ -52,10 +52,6 @@ void SyncDependencyGraph::add_edge(Digraph::Node u, Digraph::Node v,
   }
 }
 
-bool SyncDependencyGraph::has_vertex(const ExecIndex& idx) const {
-  return find(idx).has_value();
-}
-
 std::optional<Digraph::Node> SyncDependencyGraph::find(
     const ExecIndex& idx) const {
   auto it = by_index_.find(idx);

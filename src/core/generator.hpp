@@ -61,7 +61,6 @@ class SyncDependencyGraph {
   // (Algorithm 3 adds type-D, then type-C, then type-P).
   void add_edge(Digraph::Node u, Digraph::Node v, GsEdgeKind kind);
 
-  bool has_vertex(const ExecIndex& idx) const;
   std::optional<Digraph::Node> find(const ExecIndex& idx) const;
   const GsVertex& vertex(Digraph::Node n) const;
 

@@ -42,14 +42,6 @@ void Digraph::add_edge(Node u, Node v) {
   ++edge_count_;
 }
 
-void Digraph::add_edge_fast(Node u, Node v) {
-  check_node(u);
-  check_node(v);
-  succ_[static_cast<std::size_t>(u)].push_back(v);
-  pred_[static_cast<std::size_t>(v)].push_back(u);
-  ++edge_count_;
-}
-
 bool Digraph::has_edge(Node u, Node v) const {
   if (!alive(u) || !alive(v)) return false;
   const auto& out = succ_[static_cast<std::size_t>(u)];

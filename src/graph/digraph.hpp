@@ -33,12 +33,6 @@ class Digraph {
   // permitted (and count as cycles). Both endpoints must be alive.
   void add_edge(Node u, Node v);
 
-  // Bulk-construction variant that skips the duplicate scan: the caller
-  // either guarantees u -> v is fresh or accepts a parallel edge (every
-  // traversal here — cycles, SCC, topo, ancestors — is parallel-edge
-  // agnostic). Turns O(out-degree) inserts into O(1) when building large
-  // graphs edge-at-a-time, e.g. the cycle engine's tuple digraph.
-  void add_edge_fast(Node u, Node v);
   bool has_edge(Node u, Node v) const;
   void remove_edge(Node u, Node v);
 

@@ -1,5 +1,5 @@
-// Client side of the serve protocol: the library behind `wolf emit`, the
-// fairness/chaos tests, and bench/perf_serve.
+// Client side of the serve protocol: the library behind `wolf emit` and
+// the serve tests (byte identity, fairness, chaos).
 //
 // emit_* opens a connection, sends the session hello, then streams the
 // trace bytes in configurable chunks while a dedicated reader thread drains

@@ -2,16 +2,19 @@
 //
 //   equivalence — the SCC engine emits the bit-identical cycle sequence of
 //                 the reference DFS oracle (testutil.hpp), over fixed
-//                 workloads and randomized programs, and at every
-//                 max_cycles cap;
+//                 workloads, synthetic lock shapes (ring, layered DAG,
+//                 ring in a DAG, phased ring) and randomized programs, and
+//                 at every max_cycles cap;
 //   clock cut   — with clock_prune_during_search, the emitted cycles equal
 //                 the order-preserving subsequence of the full enumeration
-//                 that survives Algorithm 2's prune();
+//                 that survives Algorithm 2's prune(), and on a phased ring
+//                 the cut removes cycles;
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
 //                 in the engine and in the oracle.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/cycle_engine.hpp"
@@ -88,6 +91,28 @@ TEST(CycleEngineTest, EnginesAgreeOnSuiteWorkloads) {
   }
 }
 
+// The synthetic lock shapes (testutil.hpp) at a size the reference DFS
+// still enumerates quickly.
+test::LockShape ring_shape() { return {.ring_threads = 8, .ring_degree = 2}; }
+test::LockShape layered_shape() {
+  return {.layered_threads = 16, .layered_locks = 20, .layered_pairs = 6};
+}
+test::LockShape mixed_shape() {
+  test::LockShape shape = layered_shape();
+  shape.ring_threads = 5;
+  shape.ring_degree = 2;
+  return shape;
+}
+test::LockShape phased_shape() {
+  return {.ring_threads = 4, .ring_degree = 2, .ring_generations = 2};
+}
+
+Trace record_shape(const test::LockShape& shape) {
+  auto trace = sim::record_trace(test::lock_shape_program(shape), 2014, 60);
+  EXPECT_TRUE(trace.has_value());
+  return trace.value_or(Trace{});
+}
+
 TEST(CycleEngineTest, EnginesAgreeOnPhilosophersRing) {
   // A 5-ring: one big nontrivial SCC, cycle length = ring size.
   auto program = workloads::make_philosophers(5).program;
@@ -95,6 +120,23 @@ TEST(CycleEngineTest, EnginesAgreeOnPhilosophersRing) {
   ASSERT_TRUE(trace.has_value());
   Detection ref = check_engines_agree(*trace);
   EXPECT_FALSE(ref.cycles.empty());
+
+  // Chained rings: one SCC with many cycles (ring), the same ring beside a
+  // large acyclic DAG (mixed), and two ring generations split by a join
+  // barrier (phased). The layered DAG alone has tuples but no cycle.
+  const std::pair<const char*, test::LockShape> shapes[] = {
+      {"ring", ring_shape()},
+      {"mixed", mixed_shape()},
+      {"phased", phased_shape()},
+      {"layered", layered_shape()},
+  };
+  for (const auto& [name, shape] : shapes) {
+    SCOPED_TRACE(name);
+    const Trace shaped = record_shape(shape);
+    ASSERT_FALSE(shaped.empty());
+    Detection shape_ref = check_engines_agree(shaped);
+    EXPECT_EQ(shape_ref.cycles.empty(), shape.ring_threads == 0);
+  }
 }
 
 TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
@@ -117,7 +159,8 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
 
 // With the in-search clock cut, the emitted cycles must be exactly the
 // order-preserving subsequence of the full enumeration that prune() keeps.
-void check_clock_prune(const Trace& trace) {
+// Returns how many cycles the cut removed.
+std::size_t check_clock_prune(const Trace& trace) {
   Detection full = detect(trace, options_for());
   const std::vector<PruneVerdict> verdicts = prune(full);
   std::vector<PotentialDeadlock> survivors;
@@ -128,6 +171,7 @@ void check_clock_prune(const Trace& trace) {
   expect_same_cycles(survivors, cut.cycles, "prune() survivors vs clock cut");
   // Everything emitted under the cut survives a batch prune.
   for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
+  return full.cycles.size() - cut.cycles.size();
 }
 
 TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
@@ -137,6 +181,11 @@ TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
     if (trace.empty()) continue;
     check_clock_prune(trace);
   }
+  // Every cross-generation cycle of the phased ring is infeasible, so the
+  // cut must really remove cycles there, not just agree on an empty cut.
+  const Trace phased = record_shape(phased_shape());
+  ASSERT_FALSE(phased.empty());
+  EXPECT_GT(check_clock_prune(phased), 0u);
 }
 
 TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {

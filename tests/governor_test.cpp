@@ -19,9 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "core/pipeline.hpp"
 #include "core/prefilter.hpp"
 #include "robust/fault.hpp"
+#include "support/rng.hpp"
 #include "testutil.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
@@ -550,14 +553,12 @@ TEST(PrefilterTest, ExpiryToZeroRefcountRemovesTheEdgeAndVerdict) {
   EXPECT_EQ(g.suspicious_scc_count(), 0u);
 }
 
-TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
-  // The governed run against its oracle, batch detect() over the same
-  // stream, across window sizes and with a budget tight enough to force
-  // compaction + eviction churn: complete coverage means the final cycles
-  // ARE batch's (same tuple_idx sequence), a run that evicted nothing
-  // surfaced every batch signature live before finish().
+// Distinct tuples on one lock pair with the AB/BA ring sprinkled through the
+// stream, beside a disjoint copy on {30, 40}: two independent suspicious
+// SCCs in one window, so the window's single enumeration spans several
+// dirty components.
+Trace sprinkled_rings_trace() {
   Trace trace;
-  std::uint64_t seq = 0;
   SiteId site = 1;
   for (int rep = 0; rep < 400; ++rep) {
     const ThreadId t = static_cast<ThreadId>(1 + (rep & 1));
@@ -566,9 +567,6 @@ TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
     trace.events.push_back(release(t, 20));
     trace.events.push_back(release(t, 10));
     if (rep % 50 == 49) {
-      // Sprinkle the AB/BA ring through the stream, beside a disjoint copy
-      // on {30, 40}: two independent suspicious SCCs in one window, so the
-      // window's single enumeration spans several dirty components.
       for (Event e : ab_ba_trace(false).events) {
         if (e.lock == 10) e.lock = 30;
         if (e.lock == 20) e.lock = 40;
@@ -578,33 +576,137 @@ TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
         trace.events.push_back(e);
     }
   }
-  for (Event& e : trace.events) e.seq = seq++;
-  const Detection batch = detect(trace);
-  ASSERT_FALSE(batch.cycles.empty());
+  for (std::size_t i = 0; i < trace.events.size(); ++i) trace.events[i].seq = i;
+  return trace;
+}
 
-  for (std::size_t window : {std::size_t{16}, std::size_t{256}}) {
-    for (std::size_t budget_mb : {std::size_t{0}, std::size_t{1}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "window " << window << " budget " << budget_mb);
-      GovernorOptions options;
-      options.window_events = window;
-      options.memory_budget_mb = budget_mb;
-      std::set<DefectSignature> live;
-      options.on_cycle = [&live](const LiveCycle& lc) {
-        live.insert(signature_of(*lc.cycle, *lc.dep));
-      };
-      Governor governed(options);
-      for (const Event& e : trace.events) governed.add(e);
-      Detection det = governed.finish();
-      const GovernorVerdict verdict = governed.verdict();
-
-      if (verdict.coverage_complete) {
-        ASSERT_EQ(det.cycles.size(), batch.cycles.size());
-        for (std::size_t i = 0; i < det.cycles.size(); ++i)
-          EXPECT_EQ(det.cycles[i].tuple_idx, batch.cycles[i].tuple_idx);
+// Dedup-heavy: four workers nest up to four locks drawn from depth-ordered
+// bands (no worker cycle), each (thread, depth) choosing among three fixed
+// lock/site options, so raw tuples pile up on a few hundred canonical ones;
+// every 500 events two more threads run AB/BA on fixed sites. Occurrences
+// count per (thread, site), as in a recording.
+Trace dedup_heavy_trace(std::size_t events) {
+  constexpr int kWorkers = 4, kDepth = 4, kChoices = 3, kBand = 8;
+  Trace trace;
+  Rng rng(2014);
+  std::map<std::pair<ThreadId, SiteId>, std::int32_t> occurrences;
+  auto occurrence = [&](ThreadId t, SiteId site) {
+    return ++occurrences[{t, site}];
+  };
+  std::vector<std::vector<LockId>> held(kWorkers);
+  for (std::size_t step = 0; trace.events.size() < events; ++step) {
+    if (step % 500 == 499) {
+      for (Event e : ab_ba_trace(false).events) {
+        e.thread += kWorkers;
+        e.lock += 100;
+        if (e.kind == EventKind::kLockAcquire) {
+          e.site += 100;
+          e.occurrence = occurrence(e.thread, e.site);
+        }
+        trace.events.push_back(e);
       }
-      if (verdict.tuples_evicted == 0) {
-        EXPECT_EQ(live, signatures_of(batch));
+      continue;
+    }
+    const auto t = static_cast<ThreadId>(step % kWorkers);
+    std::vector<LockId>& stack = held[static_cast<std::size_t>(t)];
+    if (stack.empty() || (stack.size() < kDepth && rng.chance(0.55))) {
+      const auto depth = static_cast<int>(stack.size());
+      const auto choice = static_cast<int>(rng.below(kChoices));
+      const auto lock =
+          static_cast<LockId>(depth * kBand + (t * kChoices + choice) % kBand);
+      const auto site = static_cast<SiteId>(
+          1000 + (t * kDepth + depth) * kChoices + choice);
+      trace.events.push_back(acquire(t, lock, site, occurrence(t, site)));
+      stack.push_back(lock);
+    } else {
+      trace.events.push_back(release(t, stack.back()));
+      stack.pop_back();
+    }
+  }
+  for (std::size_t i = 0; i < trace.events.size(); ++i) trace.events[i].seq = i;
+  return trace;
+}
+
+// Churn: every `period` events open with an AB/BA ring on a fresh lock pair
+// at fresh sites, then fill with ordered pairs of fresh locks at fresh
+// sites, so every tuple is canonical and every period commits a new cycle.
+Trace churn_trace(std::size_t periods, std::size_t period) {
+  Trace trace;
+  LockId lock = 1000;
+  SiteId site = 1000;
+  for (std::size_t p = 0; p < periods; ++p) {
+    const LockId a = lock++, b = lock++;
+    for (auto [t, x, y] : {std::tuple<ThreadId, LockId, LockId>{1, a, b},
+                           {2, b, a}}) {
+      trace.events.push_back(acquire(t, x, site++));
+      trace.events.push_back(acquire(t, y, site++));
+      trace.events.push_back(release(t, y));
+      trace.events.push_back(release(t, x));
+    }
+    for (std::size_t k = 8; k < period; k += 4) {
+      const auto t = static_cast<ThreadId>(3 + (k / 4) % 4);
+      const LockId x = lock++, y = lock++;  // x < y: no cycle
+      trace.events.push_back(acquire(t, x, site++));
+      trace.events.push_back(acquire(t, y, site++));
+      trace.events.push_back(release(t, y));
+      trace.events.push_back(release(t, x));
+    }
+  }
+  for (std::size_t i = 0; i < trace.events.size(); ++i) trace.events[i].seq = i;
+  return trace;
+}
+
+TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
+  // The governed run against its oracle, batch detect() over the same
+  // stream, across window sizes and with a budget tight enough to force
+  // compaction + eviction churn: complete coverage means the final cycles
+  // ARE batch's (the same tuples in the same order, and the same tuple_idx
+  // sequence when nothing was compacted), a run that evicted nothing
+  // surfaced every batch signature live before finish(), and without a
+  // budget coverage is always complete.
+  const std::pair<const char*, Trace> streams[] = {
+      {"sprinkled rings", sprinkled_rings_trace()},
+      {"dedup-heavy", dedup_heavy_trace(20000)},
+      {"churn", churn_trace(64, 64)},
+  };
+  for (const auto& [name, trace] : streams) {
+    const Detection batch = detect(trace);
+    ASSERT_FALSE(batch.cycles.empty()) << name;
+
+    for (std::size_t window : {std::size_t{16}, std::size_t{256}}) {
+      for (std::size_t budget_mb : {std::size_t{0}, std::size_t{1}}) {
+        SCOPED_TRACE(::testing::Message() << name << ", window " << window
+                                          << " budget " << budget_mb);
+        GovernorOptions options;
+        options.window_events = window;
+        options.memory_budget_mb = budget_mb;
+        std::set<DefectSignature> live;
+        options.on_cycle = [&live](const LiveCycle& lc) {
+          live.insert(signature_of(*lc.cycle, *lc.dep));
+        };
+        Governor governed(options);
+        for (const Event& e : trace.events) governed.add(e);
+        Detection det = governed.finish();
+        const GovernorVerdict verdict = governed.verdict();
+
+        if (budget_mb == 0) {
+          EXPECT_TRUE(verdict.coverage_complete);
+        }
+        if (verdict.coverage_complete) {
+          // Compaction renumbers the store, so a compacted run is compared
+          // tuple by tuple; an uncompacted one also index by index.
+          ASSERT_EQ(det.cycles.size(), batch.cycles.size());
+          for (std::size_t i = 0; i < det.cycles.size(); ++i) {
+            EXPECT_EQ(det.cycles[i].to_string(det.dep),
+                      batch.cycles[i].to_string(batch.dep));
+            if (verdict.tuples_compacted == 0) {
+              EXPECT_EQ(det.cycles[i].tuple_idx, batch.cycles[i].tuple_idx);
+            }
+          }
+        }
+        if (verdict.tuples_evicted == 0) {
+          EXPECT_EQ(live, signatures_of(batch));
+        }
       }
     }
   }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,9 +17,11 @@
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "testutil.hpp"
 #include "wolf.hpp"
 #include "workloads/collections.hpp"
 #include "workloads/paper_examples.hpp"
+#include "workloads/suite.hpp"
 
 namespace wolf {
 namespace {
@@ -323,6 +327,84 @@ TEST(MetricsJsonTest, StableReportIsByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.find("\"funnel\""), std::string::npos);
 }
 
+// ------------------------------------------------------- obs overhead
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(ObsOverheadTest, ArmedCountersAndMetricsCostAtMostFivePercent) {
+  // What --metrics-out costs: analyze_trace with counters armed, plus
+  // collecting and serializing RunMetrics, against the same run with obs
+  // off. The bound is max(5% of the plain run, 50 ms). At jobs=1 every stage
+  // runs on the calling thread, so its CPU time is the run's cost and a
+  // loaded box does not stretch it the way it stretches wall time; each side
+  // keeps its fastest of three runs.
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "overhead is only meaningful in an optimized build "
+                  "without sanitizers";
+#endif
+  struct Input {
+    sim::Program program;
+    Trace trace;
+  };
+  std::vector<Input> inputs;
+  const auto suite = workloads::standard_suite();
+  for (const char* name : {"ArrayList", "HashMap"}) {
+    const workloads::Benchmark& b = workloads::find_benchmark(suite, name);
+    auto trace = sim::record_trace(b.program, 2014, 60, b.max_steps);
+    ASSERT_TRUE(trace.has_value()) << name;
+    inputs.push_back({b.program, std::move(*trace)});
+  }
+  {
+    // The 16-thread, degree-4 ring: 212 cycles, most of the pass's work.
+    sim::Program ring =
+        test::lock_shape_program({.ring_threads = 16, .ring_degree = 4});
+    auto trace = sim::record_trace(ring, 2014, 60, 4'000'000);
+    ASSERT_TRUE(trace.has_value());
+    inputs.push_back({std::move(ring), std::move(*trace)});
+  }
+  WolfOptions options;
+  options.seed = 2014;
+  options.replay.attempts = 3;
+  options.jobs = 1;
+
+  auto plain_pass = [&] {
+    const double start = thread_cpu_seconds();
+    for (const Input& in : inputs) analyze_trace(in.program, in.trace, options);
+    return thread_cpu_seconds() - start;
+  };
+  auto obs_pass = [&] {
+    const double start = thread_cpu_seconds();
+    obs::set_counters_enabled(true);
+    std::size_t bytes = 0;
+    for (const Input& in : inputs) {
+      obs::CounterSnapshot before = obs::CounterRegistry::instance().snapshot();
+      WolfReport report = analyze_trace(in.program, in.trace, options);
+      obs::RunMetrics metrics = collect_metrics(report);
+      metrics.counters =
+          obs::delta(obs::CounterRegistry::instance().snapshot(), before);
+      bytes += obs::to_json(metrics).size();
+    }
+    obs::set_counters_enabled(false);
+    EXPECT_GT(bytes, 0u);
+    return thread_cpu_seconds() - start;
+  };
+
+  double plain = 1e30, armed = 1e30;
+  for (int rep = 0; rep < 3; ++rep) {
+    plain = std::min(plain, plain_pass());
+    armed = std::min(armed, obs_pass());
+  }
+  const double allowed = std::max(0.05 * plain, 0.05);
+  EXPECT_LE(armed - plain, allowed)
+      << "obs pass " << armed * 1e3 << " ms vs plain " << plain * 1e3
+      << " ms (allowed overhead " << allowed * 1e3 << " ms)";
+}
+
 // ------------------------------------------------------- wolf::Config
 
 TEST(ConfigTest, DefaultConfigValidatesClean) {
@@ -337,11 +419,17 @@ TEST(ConfigTest, NonsenseValuesAreFatal) {
   config.runs = 0;
   config.detector.max_cycle_length = 1;
   config.replay.attempts = 0;
+  // 2^44 MiB: in bytes it wraps past SIZE_MAX to a zero budget.
+  config.memory_budget_mb = (SIZE_MAX >> 20) + 1;
   int fatal_count = 0;
   for (const ConfigIssue& issue : config.validate())
     if (issue.fatal) ++fatal_count;
-  EXPECT_EQ(fatal_count, 4);
+  EXPECT_EQ(fatal_count, 5);
   EXPECT_TRUE(config.fatal());
+
+  Config largest;
+  largest.memory_budget_mb = SIZE_MAX >> 20;
+  EXPECT_FALSE(largest.fatal());
 }
 
 TEST(ConfigTest, ExplodersFoldTheSharedScalars) {

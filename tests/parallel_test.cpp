@@ -15,6 +15,7 @@
 #include "obs/progress.hpp"
 #include "robust/fault.hpp"
 #include "support/thread_pool.hpp"
+#include "testutil.hpp"
 #include "workloads/collections.hpp"
 #include "workloads/logging.hpp"
 #include "workloads/paper_examples.hpp"
@@ -166,17 +167,26 @@ TEST(ParallelDeterminismTest, FaultInjectionIsolationIsJobsInvariant) {
   expect_jobs_invariant(w.program, options);
 }
 
+// The 8-thread, degree-2 lock ring (testutil.hpp): 18 cycles in one
+// strongly connected lock graph.
+sim::Program stress_ring() {
+  return test::lock_shape_program({.ring_threads = 8, .ring_degree = 2});
+}
+
 TEST(ParallelDeterminismTest, AnalyzeTraceJobsInvariant) {
-  auto w = workloads::make_logging();
-  auto trace = sim::record_trace(w.program, 77);
-  ASSERT_TRUE(trace.has_value());
-  WolfOptions options;
-  options.replay.attempts = 8;
-  options.jobs = 1;
-  WolfReport serial = analyze_trace(w.program, *trace, options);
-  options.jobs = 8;
-  WolfReport parallel = analyze_trace(w.program, *trace, options);
-  expect_identical_reports(serial, parallel, w.program.sites());
+  for (const sim::Program& program :
+       {workloads::make_logging().program, stress_ring()}) {
+    SCOPED_TRACE(program.name);
+    auto trace = sim::record_trace(program, 77);
+    ASSERT_TRUE(trace.has_value());
+    WolfOptions options;
+    options.replay.attempts = 8;
+    options.jobs = 1;
+    WolfReport serial = analyze_trace(program, *trace, options);
+    options.jobs = 8;
+    WolfReport parallel = analyze_trace(program, *trace, options);
+    expect_identical_reports(serial, parallel, program.sites());
+  }
 }
 
 TEST(ParallelDeterminismTest, ObservabilityOnOrOffDoesNotPerturbReports) {
@@ -184,25 +194,28 @@ TEST(ParallelDeterminismTest, ObservabilityOnOrOffDoesNotPerturbReports) {
   // jobs level must still produce the identical report it produces with
   // them off (the cross-check inside expect_jobs_invariant), and the
   // enabled/disabled runs must agree with each other.
-  auto w = workloads::make_collections_map("HashMap");
-  WolfOptions options;
-  options.seed = 2014;
-  options.replay.attempts = 8;
-  options.jobs = 8;
+  for (const sim::Program& program :
+       {workloads::make_collections_map("HashMap").program, stress_ring()}) {
+    SCOPED_TRACE(program.name);
+    WolfOptions options;
+    options.seed = 2014;
+    options.replay.attempts = 8;
+    options.jobs = 8;
 
-  obs::set_counters_enabled(false);
-  WolfReport off = run_wolf(w.program, options);
+    obs::set_counters_enabled(false);
+    WolfReport off = run_wolf(program, options);
 
-  obs::set_counters_enabled(true);
-  obs::set_progress_enabled(true);
-  obs::set_progress_writer([](const char*) {});  // swallow heartbeats
-  expect_jobs_invariant(w.program);
-  WolfReport on = run_wolf(w.program, options);
-  obs::set_progress_writer(nullptr);
-  obs::set_progress_enabled(false);
-  obs::set_counters_enabled(false);
+    obs::set_counters_enabled(true);
+    obs::set_progress_enabled(true);
+    obs::set_progress_writer([](const char*) {});  // swallow heartbeats
+    expect_jobs_invariant(program);
+    WolfReport on = run_wolf(program, options);
+    obs::set_progress_writer(nullptr);
+    obs::set_progress_enabled(false);
+    obs::set_counters_enabled(false);
 
-  expect_identical_reports(off, on, w.program.sites());
+    expect_identical_reports(off, on, program.sites());
+  }
 }
 
 TEST(ParallelDeterminismTest, MultiRunMergeIsJobsInvariant) {

@@ -260,17 +260,35 @@ TEST(ServeServerTest, SocketSessionMatchesLocalSessionByteForByte) {
   emit.socket_path = ts.path();
   emit.name = "differential";
   emit.params["window"] = "16";  // multi-window coverage
-  EmitResult result = emit_trace_bytes(emit, hashmap_bytes());
-  ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_TRUE(result.complete);
-
   const Transcript ref = reference_transcript(
       hashmap_bytes(), session_config(ts.server.options(), emit.params));
-  ASSERT_EQ(result.live_lines.size(), ref.live.size());
-  for (std::size_t i = 0; i < ref.live.size(); ++i)
-    EXPECT_EQ(result.live_lines[i], chomp(ref.live[i])) << "live line " << i;
-  EXPECT_EQ(result.verdict_line, chomp(ref.verdict));
   EXPECT_FALSE(ref.live.empty()) << "trace surfaced no cycles; test is vacuous";
+
+  auto expect_matches_reference = [&ref](const EmitResult& result) {
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_TRUE(result.complete);
+    ASSERT_EQ(result.live_lines.size(), ref.live.size());
+    for (std::size_t i = 0; i < ref.live.size(); ++i)
+      EXPECT_EQ(result.live_lines[i], chomp(ref.live[i])) << "live line " << i;
+    EXPECT_EQ(result.verdict_line, chomp(ref.verdict));
+  };
+  expect_matches_reference(emit_trace_bytes(emit, hashmap_bytes()));
+
+  // Eight concurrent clients: each session must still say exactly what the
+  // solo Session says.
+  std::vector<EmitResult> results(8);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < results.size(); ++i)
+    clients.emplace_back([&, i] {
+      EmitOptions mine = emit;
+      mine.name = "concurrent-" + std::to_string(i);
+      results[i] = emit_trace_bytes(mine, hashmap_bytes());
+    });
+  for (std::thread& t : clients) t.join();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_matches_reference(results[i]);
+  }
 }
 
 // ---- torn streams and isolation -------------------------------------------
@@ -473,11 +491,15 @@ TEST(ServeServerTest, GarbageHelloGetsErrorLineAndServerKeepsServing) {
   ASSERT_TRUE(ts.started);
 
   // Each bad hello gets an error line naming what is wrong: a non-protocol
-  // line, and a session parameter the server does not know.
+  // line, a session parameter the server does not know, and a budget the
+  // session config rejects.
   const std::pair<std::string, std::string> bad_hellos[] = {
       {"GET / HTTP/1.1\n", "expected a"},
       {"WOLFSERVE/1 session name=a incremental=1\n",
        "unknown session parameter 'incremental'"},
+      // 2^44 MiB would wrap to a zero-byte budget in the governor.
+      {"WOLFSERVE/1 session name=a budget-mb=17592186044416\n",
+       "config: memory_budget_mb must be <="},
   };
   for (const auto& [hello, expected] : bad_hellos) {
     SCOPED_TRACE(hello);

@@ -88,6 +88,71 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config) {
   return p;
 }
 
+sim::Program lock_shape_program(const LockShape& shape) {
+  sim::Program p;
+  p.name = "shape-ring" + std::to_string(shape.ring_threads) + "x" +
+           std::to_string(shape.ring_degree) + "x" +
+           std::to_string(shape.ring_generations) + "-layered" +
+           std::to_string(shape.layered_threads);
+  const ThreadId main = p.add_thread("main");
+  // generations[g] holds the threads main starts, then joins, in round g.
+  std::vector<std::vector<ThreadId>> generations(
+      static_cast<std::size_t>(std::max(1, shape.ring_generations)));
+
+  std::vector<LockId> layers;
+  for (int i = 0; i < shape.layered_locks; ++i)
+    layers.push_back(p.add_lock("layer-" + std::to_string(i),
+                                p.site("Layer.lock", i)));
+  for (int t = 0; t < shape.layered_threads; ++t) {
+    const ThreadId tid = p.add_thread("layer-" + std::to_string(t));
+    generations[0].push_back(tid);
+    for (int k = 0; k < shape.layered_pairs; ++k) {
+      // A deterministic spread of ordered pairs a < b across the ladder.
+      const int a = (t * 7 + k * 3) % (shape.layered_locks - 1);
+      const int b = a + 1 + (t + k) % (shape.layered_locks - 1 - a);
+      const int tag = t * 1000 + k;
+      const LockId la = layers[static_cast<std::size_t>(a)];
+      const LockId lb = layers[static_cast<std::size_t>(b)];
+      p.lock(tid, la, p.site("Layer.outer", tag));
+      p.lock(tid, lb, p.site("Layer.inner", tag));
+      p.unlock(tid, lb, p.site("Layer.innerExit", tag));
+      p.unlock(tid, la, p.site("Layer.outerExit", tag));
+    }
+  }
+
+  std::vector<LockId> ring;
+  for (int i = 0; i < shape.ring_threads; ++i)
+    ring.push_back(
+        p.add_lock("ring-" + std::to_string(i), p.site("Ring.lock", i)));
+  for (std::size_t g = 0; g < generations.size() && !ring.empty(); ++g) {
+    for (int i = 0; i < shape.ring_threads; ++i) {
+      const ThreadId tid = p.add_thread("ring-" + std::to_string(g) + "-" +
+                                        std::to_string(i));
+      generations[g].push_back(tid);
+      for (int d = 1; d <= shape.ring_degree; ++d) {
+        const int tag = static_cast<int>(g) * 10000 + i * 100 + d;
+        const LockId outer = ring[static_cast<std::size_t>(i)];
+        const LockId inner =
+            ring[static_cast<std::size_t>((i + d) % shape.ring_threads)];
+        p.lock(tid, outer, p.site("Ring.outer", tag));
+        p.lock(tid, inner, p.site("Ring.inner", tag));
+        p.unlock(tid, inner, p.site("Ring.innerExit", tag));
+        p.unlock(tid, outer, p.site("Ring.outerExit", tag));
+        p.compute(tid, p.site("Ring.pause", tag));
+      }
+    }
+  }
+
+  for (std::size_t g = 0; g < generations.size(); ++g) {
+    for (ThreadId t : generations[g])
+      p.start(main, t, p.site("Main.spawn", static_cast<int>(g)));
+    for (ThreadId t : generations[g])
+      p.join(main, t, p.site("Main.join", static_cast<int>(g)));
+  }
+  p.finalize();
+  return p;
+}
+
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result) {
   std::vector<SiteId> sig;
   sig.reserve(result.deadlock_cycle.size());

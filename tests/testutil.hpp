@@ -40,6 +40,28 @@ struct RandomProgramConfig {
 // Builds a random program; deterministic in `rng`.
 sim::Program random_program(Rng& rng, const RandomProgramConfig& config = {});
 
+// Synthetic lock-order shapes that load enumeration and classification far
+// beyond the paper's programs. Any mix of:
+//   ring    — ring_threads threads on a ring of as many locks; thread i
+//             nests (l_i, l_{(i+d) mod k}) for every chain degree d in
+//             1..ring_degree, so every chain of forward hops that wraps the
+//             ring within the cycle-length cap closes a potential deadlock;
+//   layered — layered_threads threads nest layered_pairs globally ordered
+//             pairs over layered_locks locks: many tuples, zero cycles.
+// ring_generations > 1 repeats the ring's threads once per generation, each
+// generation joined by main before the next starts: every cross-generation
+// cycle is infeasible, so the Pruner's clock cut has cycles to remove.
+// Every lock operation has its own site.
+struct LockShape {
+  int ring_threads = 0;
+  int ring_degree = 1;
+  int ring_generations = 1;
+  int layered_threads = 0;
+  int layered_locks = 0;
+  int layered_pairs = 0;
+};
+sim::Program lock_shape_program(const LockShape& shape);
+
 // Sorted site multiset of a run's deadlock cycle.
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
 

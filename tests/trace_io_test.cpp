@@ -146,8 +146,8 @@ TEST(StreamingDetectionTest, StreamingDetectorIngestsIncrementally) {
             detection_fingerprint(detect(*trace)));
 }
 
-// The classification-level content of a report (mirrors the equivalence
-// fingerprint the perf_pipeline harness checks).
+// The classification-level content of a report: each cycle's verdict, Gs
+// size and replay attempts/hits, then each defect's signature and verdict.
 std::string report_fingerprint(const WolfReport& report) {
   std::ostringstream os;
   for (const CycleReport& c : report.cycles)

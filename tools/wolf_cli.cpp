@@ -235,10 +235,22 @@ std::optional<Trace> load_or_record(const sim::Program& program,
   return trace;
 }
 
+// Reads an int flag that becomes a size_t. A negative value would wrap to
+// a huge count, so it is an error, not a cast.
+bool size_flag(const Flags& flags, const std::string& name, std::size_t& out) {
+  const std::int64_t value = flags.get_int(name);
+  if (value < 0) {
+    std::cerr << "error: --" << name << " must be >= 0\n";
+    return false;
+  }
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
 // Shared by detect/analyze: detector knobs from flags.
-DetectorOptions detector_from_flags(const Flags& flags) {
+std::optional<DetectorOptions> detector_from_flags(const Flags& flags) {
   DetectorOptions options;
-  options.max_cycles = static_cast<std::size_t>(flags.get_int("max-cycles"));
+  if (!size_flag(flags, "max-cycles", options.max_cycles)) return std::nullopt;
   options.clock_prune_during_search = flags.get_bool("clock-prune");
   return options;
 }
@@ -374,14 +386,15 @@ int cmd_convert(int argc, char** argv) {
 }
 
 int cmd_detect(const sim::Program& program, const Flags& flags) {
+  const std::optional<DetectorOptions> options = detector_from_flags(flags);
+  if (!options) return 1;
   MetricsScope metrics(flags);
   auto trace =
       load_or_record(program, flags.get_string("trace"),
                      static_cast<std::uint64_t>(flags.get_int("seed")), flags);
   if (!trace) return 1;
 
-  const DetectorOptions options = detector_from_flags(flags);
-  Detection det = detect(*trace, options);
+  Detection det = detect(*trace, *options);
   check_trace_sites(program, det);
   warn_if_truncated(det);
   auto verdicts = prune(det);
@@ -417,13 +430,14 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = static_cast<int>(flags.get_int("jobs"));
   config.deadline_ms = flags.get_int("deadline-ms");
-  config.detector = detector_from_flags(flags);
+  const std::optional<DetectorOptions> detector = detector_from_flags(flags);
+  if (!detector ||
+      !size_flag(flags, "memory-budget-mb", config.memory_budget_mb) ||
+      !size_flag(flags, "window-events", config.window_events))
+    return 1;
+  config.detector = *detector;
   config.replay.attempts = static_cast<int>(flags.get_int("attempts"));
   config.record_attempts = static_cast<int>(flags.get_int("retry"));
-  config.memory_budget_mb =
-      static_cast<std::size_t>(flags.get_int("memory-budget-mb"));
-  config.window_events =
-      static_cast<std::size_t>(flags.get_int("window-events"));
   config.window_deadline_ms = flags.get_int("window-deadline-ms");
   if (flags.get_bool("live")) {
     // Surface each cycle the moment a window first finds it. Observation
@@ -580,11 +594,12 @@ int cmd_serve(int argc, char** argv) {
   options.idle_timeout_ms = flags.get_int("idle-timeout-ms");
   options.session_deadline_ms = flags.get_int("session-deadline-ms");
   options.drain_deadline_ms = flags.get_int("drain-deadline-ms");
-  options.session.window_events =
-      static_cast<std::size_t>(flags.get_int("window-events"));
-  options.session.memory_budget_mb =
-      static_cast<std::size_t>(flags.get_int("memory-budget-mb"));
+  if (!size_flag(flags, "window-events", options.session.window_events) ||
+      !size_flag(flags, "memory-budget-mb", options.session.memory_budget_mb))
+    return 1;
   options.session.window_deadline_ms = flags.get_int("window-deadline-ms");
+  // A default every session would reject fails here, not per client.
+  if (!report_config_issues(options.session)) return 1;
 
   serve::Server server(options);
   std::string error;
