@@ -1,8 +1,10 @@
 #include "core/cycle_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/pruner.hpp"
 #include "obs/counters.hpp"
@@ -17,6 +19,10 @@ const obs::Counter kChains("detector.chains");
 const obs::Counter kSccsVisited("detector.sccs_nontrivial");
 const obs::Counter kClockCuts("detector.clock_cuts");
 const obs::Counter kCyclesFound("detector.cycles");
+// Engine footprint per enumeration: mask words and holder-index slots. Both
+// are sized by the enumerated view, so equal views cost equal counts.
+const obs::Counter kMaskWords("detector.mask_words");
+const obs::Counter kHolderSlots("detector.holder_slots");
 
 using Word = std::uint64_t;
 constexpr std::size_t kWordBits = 64;
@@ -31,48 +37,110 @@ inline void flip_bit(Word* w, std::size_t i) {
   w[i / kWordBits] ^= Word{1} << (i % kWordBits);
 }
 
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+// View-local dense lock ids: note() every occurrence, seal(), then of()
+// maps a lock to its rank among the distinct locks noted (kNone if never
+// noted). The ranks come from sort+unique; a small direct-mapped memo in
+// front of both phases keeps repeats — a hot lock in thousands of locksets
+// — from reaching the sort or the binary search. Its validity is one bit
+// per slot, so starting a phase clears one word and a tiny window view pays
+// no memset.
+class DenseLockIds {
+ public:
+  explicit DenseLockIds(std::size_t expected) { ids_.reserve(expected); }
+
+  void note(LockId id) {
+    const std::size_t i = slot(id);
+    if (hit(i, id)) return;
+    fill(i, id, kNone);
+    ids_.push_back(id);
+  }
+
+  void seal() {
+    std::sort(ids_.begin(), ids_.end());
+    ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+    used_ = 0;
+  }
+
+  std::size_t size() const { return ids_.size(); }
+
+  std::uint32_t of(LockId id) {
+    const std::size_t i = slot(id);
+    if (hit(i, id)) return memo_[i].dense;
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    const std::uint32_t dense =
+        it == ids_.end() || *it != id
+            ? kNone
+            : static_cast<std::uint32_t>(it - ids_.begin());
+    fill(i, id, dense);
+    return dense;
+  }
+
+ private:
+  struct Slot {
+    LockId id;
+    std::uint32_t dense;
+  };
+  static constexpr std::size_t kSlots = 64;
+
+  // Fibonacci hashing: spreads ids that share their low bits.
+  static std::size_t slot(LockId id) {
+    return (static_cast<std::uint32_t>(id) * 0x9E3779B1u) >> 26;
+  }
+  bool hit(std::size_t i, LockId id) const {
+    return ((used_ >> i) & 1u) != 0 && memo_[i].id == id;
+  }
+  void fill(std::size_t i, LockId id, std::uint32_t dense) {
+    memo_[i] = {id, dense};
+    used_ |= std::uint64_t{1} << i;
+  }
+
+  std::uint64_t used_ = 0;  // bit i: memo_[i] is valid in this phase
+  std::array<Slot, kSlots> memo_;  // read only where used_ says valid
+  std::vector<LockId> ids_;
+};
+
 // Dense model of the canonical tuple view: node i ↔ dep.unique[i], with the
-// per-node thread/lock/τ scalars hoisted into flat arrays, each lockset as a
-// word-mask over dense LockIds, and the per-lock inverted holder index in
-// node (= dep.unique) order, which fixes the canonical DFS candidate order.
+// per-node thread/τ scalars hoisted into flat arrays. Every size is the
+// view's, never the session's: held locks get view-local dense ids
+// (sort+unique), the per-lock inverted holder index is CSR in node
+// (= dep.unique) order, which fixes the canonical DFS candidate order, and
+// lockset word-masks have bits only for the locks that nodes of nontrivial
+// SCCs hold. A chain never leaves one nontrivial SCC, so a lock outside
+// that set can neither overlap a chain member's lockset nor close a cycle:
+// its "no bit" reads false in both tests.
 class SccEngine {
  public:
   SccEngine(const LockDependency& dep, const DetectorOptions& options,
             const ClockTracker* clocks)
       : dep_(dep), options_(options) {
     const std::size_t n = dep.unique.size();
-    LockId max_lock = -1;
     ThreadId max_thread = -1;
-    for (std::size_t u : dep.unique) {
-      const LockTuple& t = dep.tuples[u];
-      max_lock = std::max(max_lock, t.lock);
-      for (LockId l : t.lockset) max_lock = std::max(max_lock, l);
-      max_thread = std::max(max_thread, t.thread);
-    }
-    lock_words_ = words_for(static_cast<std::size_t>(max_lock + 1));
-    thread_words_ = words_for(static_cast<std::size_t>(max_thread + 1));
-
+    std::size_t held_entries = 0;
+    DenseLockIds held(n);
     tuple_of_.reserve(n);
     thread_.reserve(n);
-    lock_.reserve(n);
     tau_.reserve(n);
-    lockset_.assign(n * lock_words_, 0);
-    holders_of_.assign(static_cast<std::size_t>(max_lock) + 1, {});
-    for (std::size_t i = 0; i < n; ++i) {
-      const LockTuple& t = dep.tuples[dep.unique[i]];
-      tuple_of_.push_back(dep.unique[i]);
+    for (std::size_t u : dep.unique) {
+      const LockTuple& t = dep.tuples[u];
+      tuple_of_.push_back(u);
       thread_.push_back(t.thread);
-      lock_.push_back(t.lock);
       tau_.push_back(t.tau);
-      Word* mask = &lockset_[i * lock_words_];
-      for (LockId l : t.lockset) {
-        flip_bit(mask, static_cast<std::size_t>(l));
-        holders_of_[static_cast<std::size_t>(l)].push_back(
-            static_cast<std::uint32_t>(i));
-      }
+      max_thread = std::max(max_thread, t.thread);
+      held_entries += t.lockset.size();
+      for (LockId l : t.lockset) held.note(l);
     }
+    held.seal();
+    entries_.reserve(held_entries);
+    // Thread ids are dense process-wide (the clock tracker indexes by them).
+    thread_words_ = words_for(static_cast<std::size_t>(max_thread + 1));
 
+    index_holders(held);
     partition();
+    assign_masks(held.size());
+    kMaskWords.add(masks_.size());
+    kHolderSlots.add(holder_start_.size() + holders_.size());
 
     if (options.clock_prune_during_search && clocks != nullptr)
       matrix_.emplace(*clocks, dep);
@@ -80,23 +148,86 @@ class SccEngine {
 
   EnumerationResult run() const;
 
+  // Builds the holder CSR: holder_start_[l]..holder_start_[l + 1] indexes
+  // the nodes whose lockset holds dense lock l, in node order, and
+  // request_[u] is the dense id of u's requested lock (kNone when no tuple
+  // of the view holds it, i.e. u has no successor). entries_ keeps every
+  // lockset entry as a dense id, node-major, for assign_masks.
+  void index_holders(DenseLockIds& held) {
+    const std::size_t n = tuple_of_.size();
+    request_.reserve(n);
+    holder_start_.assign(held.size() + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const LockTuple& t = dep_.tuples[tuple_of_[i]];
+      request_.push_back(held.of(t.lock));
+      for (LockId l : t.lockset) {
+        entries_.push_back(held.of(l));
+        ++holder_start_[entries_.back()];
+      }
+    }
+    // Inclusive prefix sums put each lock's end in holder_start_[l];
+    // filling back to front from the ends leaves every list in ascending
+    // node order and holder_start_[l] at its start.
+    for (std::size_t l = 1; l <= held.size(); ++l)
+      holder_start_[l] += holder_start_[l - 1];
+    holders_.resize(entries_.size());
+    std::size_t e = entries_.size();
+    for (std::size_t i = n; i-- > 0;)
+      for (std::size_t k = lockset_size(i); k > 0; --k)
+        holders_[--holder_start_[entries_[--e]]] =
+            static_cast<std::uint32_t>(i);
+  }
+
+  // Gives a mask bit to every lock held by a nontrivial-SCC node, then
+  // builds every node's lockset mask over those bits; every other lock
+  // keeps lock_bit_ == kNone and is left out of the masks.
+  void assign_masks(std::size_t held_locks) {
+    const std::size_t n = tuple_of_.size();
+    lock_bit_.assign(held_locks, kNone);
+    std::uint32_t bits = 0;
+    for (std::size_t i = 0, e = 0; i < n; e += lockset_size(i++)) {
+      if (!in_nontrivial_scc(i)) continue;
+      for (std::size_t k = e; k < e + lockset_size(i); ++k)
+        if (lock_bit_[entries_[k]] == kNone) lock_bit_[entries_[k]] = bits++;
+    }
+    lock_words_ = words_for(bits);
+    masks_.assign(n * lock_words_, 0);
+    for (std::size_t i = 0, e = 0; i < n; e += lockset_size(i++)) {
+      Word* mask = &masks_[i * lock_words_];
+      for (std::size_t k = e; k < e + lockset_size(i); ++k)
+        if (lock_bit_[entries_[k]] != kNone)
+          flip_bit(mask, lock_bit_[entries_[k]]);
+    }
+  }
+
+  // The mask bit of the lock `node` requests, or kNone.
+  std::uint32_t request_bit(std::size_t node) const {
+    const std::uint32_t l = request_[node];
+    return l == kNone ? kNone : lock_bit_[l];
+  }
+
+  std::size_t lockset_size(std::size_t node) const {
+    return dep_.tuples[tuple_of_[node]].lockset.size();
+  }
+
   // Tarjan-partitions the tuple digraph (η → η' iff η' holds lock(η) and the
   // threads differ — every edge a deadlock chain can take). A cycle through
   // a tuple is a digraph cycle, hence confined to the tuple's SCC; only
   // components with ≥ 2 nodes can carry one (self loops are impossible:
   // a thread is never its own neighbor). The digraph stays implicit: a
-  // node's successors are read off holders_of_, so the partition costs
+  // node's successors are read off the holder CSR, so the partition costs
   // O(nodes) memory however many edges the tuples induce.
   void partition() {
-    constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
     const std::size_t n = tuple_of_.size();
-    std::vector<std::uint32_t> index(n, kUnvisited);
+    std::vector<std::uint32_t> index(n, kNone);
     std::vector<std::uint32_t> low(n, 0);
     std::vector<bool> on_stack(n, false);
     std::vector<std::uint32_t> stack;
     struct Frame {
       std::uint32_t node;
-      std::uint32_t next;  // position in the node's holder list
+      ThreadId thread;
+      const std::uint32_t* next;  // cursor into the node's successors
+      const std::uint32_t* end;
     };
     std::vector<Frame> frames;
     std::uint32_t next_index = 0;
@@ -104,22 +235,22 @@ class SccEngine {
       index[v] = low[v] = next_index++;
       stack.push_back(v);
       on_stack[v] = true;
-      frames.push_back({v, 0});
+      const std::span<const std::uint32_t> succ = successors(v);
+      frames.push_back({v, thread_[v], succ.data(), succ.data() + succ.size()});
     };
     comp_.assign(n, 0);
     comp_nontrivial_.clear();
     std::uint64_t nontrivial = 0;
     for (std::uint32_t root = 0; root < n; ++root) {
-      if (index[root] != kUnvisited) continue;
+      if (index[root] != kNone) continue;
       open(root);
       while (!frames.empty()) {
         Frame& f = frames.back();
         const std::uint32_t u = f.node;
-        const auto& succ = holders_of_[static_cast<std::size_t>(lock_[u])];
-        if (f.next < succ.size()) {
-          const std::uint32_t v = succ[f.next++];
-          if (thread_[v] == thread_[u]) continue;
-          if (index[v] == kUnvisited) {
+        if (f.next != f.end) {
+          const std::uint32_t v = *f.next++;
+          if (thread_[v] == f.thread) continue;
+          if (index[v] == kNone) {
             open(v);
           } else if (on_stack[v]) {
             low[u] = std::min(low[u], index[v]);
@@ -156,11 +287,15 @@ class SccEngine {
   }
 
   const Word* lockset(std::size_t node) const {
-    return &lockset_[node * lock_words_];
+    return &masks_[node * lock_words_];
   }
 
-  const std::vector<std::uint32_t>& holders(std::size_t lock) const {
-    return holders_of_[lock];
+  // The nodes holding the lock `node` requests, in node order.
+  std::span<const std::uint32_t> successors(std::size_t node) const {
+    const std::uint32_t l = request_[node];
+    if (l == kNone) return {};
+    return {holders_.data() + holder_start_[l],
+            holders_.data() + holder_start_[l + 1]};
   }
 
   const LockDependency& dep_;
@@ -169,10 +304,13 @@ class SccEngine {
   std::size_t thread_words_ = 1;
   std::vector<std::size_t> tuple_of_;  // node → index into dep.tuples
   std::vector<ThreadId> thread_;
-  std::vector<LockId> lock_;
   std::vector<Timestamp> tau_;
-  std::vector<Word> lockset_;  // node-major, lock_words_ words per node
-  std::vector<std::vector<std::uint32_t>> holders_of_;  // lock → nodes
+  std::vector<std::uint32_t> entries_;  // lockset entries, dense, node-major
+  std::vector<std::uint32_t> request_;  // node → dense requested lock
+  std::vector<std::uint32_t> holder_start_;  // dense lock → holders_ range
+  std::vector<std::uint32_t> holders_;
+  std::vector<std::uint32_t> lock_bit_;     // dense lock → mask bit
+  std::vector<Word> masks_;  // node-major, lock_words_ words per node
   std::vector<std::uint32_t> comp_;  // node → SCC id
   std::vector<bool> comp_nontrivial_;
   std::optional<ClockPairMatrix> matrix_;
@@ -196,8 +334,7 @@ struct ChainSearch {
   void push(std::uint32_t node) {
     kChains.add();
     chain.push_back(node);
-    flip_bit(chain_threads.data(),
-             static_cast<std::size_t>(e.thread_[node]));
+    flip_bit(chain_threads.data(), static_cast<std::size_t>(e.thread_[node]));
     const Word* mask = e.lockset(node);
     for (std::size_t w = 0; w < e.lock_words_; ++w) chain_locks[w] ^= mask[w];
   }
@@ -205,8 +342,7 @@ struct ChainSearch {
   void pop(std::uint32_t node) {
     const Word* mask = e.lockset(node);
     for (std::size_t w = 0; w < e.lock_words_; ++w) chain_locks[w] ^= mask[w];
-    flip_bit(chain_threads.data(),
-             static_cast<std::size_t>(e.thread_[node]));
+    flip_bit(chain_threads.data(), static_cast<std::size_t>(e.thread_[node]));
     chain.pop_back();
   }
 
@@ -230,8 +366,9 @@ struct ChainSearch {
     if (out.size() >= e.options_.max_cycles) return;
     const std::uint32_t first = chain.front();
 
-    if (chain.size() >= 2 &&
-        test_bit(e.lockset(first), static_cast<std::size_t>(e.lock_[last]))) {
+    const std::uint32_t closing = e.request_bit(last);
+    if (chain.size() >= 2 && closing != kNone &&
+        test_bit(e.lockset(first), closing)) {
       kCyclesFound.add();
       PotentialDeadlock cycle;
       cycle.tuple_idx.reserve(chain.size());
@@ -242,8 +379,7 @@ struct ChainSearch {
     if (static_cast<int>(chain.size()) >= e.options_.max_cycle_length)
       return;
 
-    for (std::uint32_t next :
-         e.holders(static_cast<std::size_t>(e.lock_[last]))) {
+    for (std::uint32_t next : e.successors(last)) {
       if (out.size() >= e.options_.max_cycles) return;
       if (e.thread_[next] <= first_thread) continue;
       if (e.comp_[next] != start_comp) continue;

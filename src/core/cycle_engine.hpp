@@ -6,9 +6,12 @@
 // leaving the start tuple's component: a cycle through η is itself a digraph
 // cycle, hence confined to SCC(η), so acyclic regions of D_σ cost nothing.
 // Chain state is dense-id bitsets (thread word-mask, lockset word-mask per
-// tuple) instead of hash sets, and the Pruner's pairwise clock data
-// (ClockPairMatrix) can optionally cut never-overlapping branches during the
-// search.
+// tuple) instead of hash sets. Every lock-indexed engine array is sized by
+// the view it enumerates — view-local lock ids, a CSR holder index, and
+// mask bits only for locks held inside nontrivial SCCs — so a governed
+// window pays for its own tuples, not for every lock the session has seen.
+// The Pruner's pairwise clock data (ClockPairMatrix) can optionally cut
+// never-overlapping branches during the search.
 //
 // The SCC restriction and the clock cut only skip subtrees that emit
 // nothing, so the emitted order is the one a plain DFS over every canonical

@@ -183,6 +183,9 @@ class Governor {
   // Cycles surfaced by per-window enumeration so far (first sightings; the
   // number of LiveCycle deliveries when a subscriber is attached).
   std::size_t cycles_surfaced_live() const { return live_cycles_; }
+  // The pre-filter's lock graph, read-only: its DynamicScc work counters are
+  // what the flat-per-window-cost tests compare.
+  const LockGraph& prefilter() const { return prefilter_; }
 
   // Closes the trailing partial window, runs the authoritative enumeration
   // over every retained tuple and returns the completed Detection. The

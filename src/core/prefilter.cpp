@@ -33,12 +33,18 @@ int LockGraph::intern(LockId lock) {
 void LockGraph::on_tuple(ThreadId thread, LockId lock,
                          std::span<const LockId> lockset) {
   if (lockset.empty()) return;  // top-of-stack acquisitions add no edge
+  // Held locks first: a fresh requested lock then gets the newest node and
+  // the latest order position, so its fresh in-edges are already forward
+  // and take add_edge's O(1) path.
+  held_nodes_.clear();
+  for (LockId held : lockset) {
+    held_nodes_.push_back(intern(held));
+    scc_.mark_dirty(held_nodes_.back());
+  }
   const int to = intern(lock);
   const GuardMask guards = lockset_mask(lockset);
   scc_.mark_dirty(to);
-  for (LockId held : lockset) {
-    const int from = intern(held);
-    scc_.mark_dirty(from);
+  for (const int from : held_nodes_) {
     std::vector<Edge>& edges = out_[static_cast<std::size_t>(from)];
     auto it = std::find_if(edges.begin(), edges.end(),
                            [&](const Edge& e) { return e.to == to; });
@@ -123,38 +129,35 @@ bool LockGraph::evaluate(int comp) const {
   return multi_thread && !common.any();
 }
 
+void LockGraph::set_verdict(int comp, bool suspicious) const {
+  char& cached = comp_suspicious_[static_cast<std::size_t>(comp)];
+  if (cached == static_cast<char>(suspicious)) return;
+  cached = static_cast<char>(suspicious);
+  if (suspicious)
+    ++suspicious_count_;
+  else
+    --suspicious_count_;
+}
+
 void LockGraph::refresh_verdicts() const {
   if (!scc_.has_dirty()) return;
   kChecksCounter.add();
-  // Force pending lazy splits to apply (they append their own dirty marks)
-  // before walking the mark list.
-  const std::size_t capacity = scc_.component_capacity();
-  comp_suspicious_.resize(capacity, 0);
-  std::vector<int> done;
-  for (DynamicScc::Node v : scc_.dirty_nodes()) {
-    const int c = scc_.component_of(v);
-    if (std::find(done.begin(), done.end(), c) != done.end()) continue;
-    done.push_back(c);
-    comp_suspicious_[static_cast<std::size_t>(c)] = evaluate(c) ? 1 : 0;
-  }
-  verdict_ = false;
-  verdict_scc_count_ = 0;
-  for (std::size_t c = 0; c < capacity; ++c) {
-    if (!comp_suspicious_[c]) continue;
-    if (!scc_.component_alive(static_cast<int>(c))) continue;
-    verdict_ = true;
-    ++verdict_scc_count_;
-  }
+  // Labels only grow, so this resize is amortized O(new labels).
+  comp_suspicious_.resize(scc_.component_capacity(), 0);
+  for (int c : scc_.retired_components()) set_verdict(c, false);
+  for (int c : scc_.dirty_components()) set_verdict(c, evaluate(c));
 }
 
-bool LockGraph::suspicious() const {
-  refresh_verdicts();
-  return verdict_;
-}
+bool LockGraph::suspicious() const { return suspicious_scc_count() > 0; }
 
 std::size_t LockGraph::suspicious_scc_count() const {
   refresh_verdicts();
-  return verdict_scc_count_;
+  return suspicious_count_;
+}
+
+bool LockGraph::component_suspicious(int comp) const {
+  refresh_verdicts();
+  return comp_suspicious_[static_cast<std::size_t>(comp)] != 0;
 }
 
 std::vector<LockId> LockGraph::drain_dirty_suspicious_locks() {
@@ -177,8 +180,7 @@ void LockGraph::clear() {
   edge_count_ = 0;
   scc_.clear();
   comp_suspicious_.clear();
-  verdict_ = false;
-  verdict_scc_count_ = 0;
+  suspicious_count_ = 0;
 }
 
 }  // namespace wolf

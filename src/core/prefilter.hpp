@@ -122,8 +122,11 @@ class LockGraph {
   // components marked dirty since the last query.
   bool suspicious() const;
 
-  // Number of components currently flagged suspicious.
+  // Number of components currently flagged suspicious — a running count,
+  // kept by the dirty components and the labels merges retire.
   std::size_t suspicious_scc_count() const;
+  // Cached verdict of one live component label (for the count's tests).
+  bool component_suspicious(int comp) const;
 
   // Dirty-SCC drain for the governor: the locks of every *suspicious*
   // component that changed (membership, edges, or a fed tuple) since the
@@ -159,9 +162,11 @@ class LockGraph {
   // Refinement verdict for one live component over its internal edges.
   bool evaluate(int comp) const;
   // Re-evaluates every dirty component's cached verdict (without consuming
-  // the dirty set — the governor still needs to drain it) and refreshes the
-  // aggregate verdict/count.
+  // the dirty set — the governor still needs to drain it) and clears the
+  // verdicts of labels merges retired, keeping the running count exact.
+  // O(dirty marks + retired labels), never O(components).
   void refresh_verdicts() const;
+  void set_verdict(int comp, bool suspicious) const;
 
   std::unordered_map<LockId, int> lock_ids_;  // LockId -> dense node
   std::vector<LockId> locks_;                 // dense node -> LockId
@@ -170,14 +175,14 @@ class LockGraph {
   // both are assigned densely at intern time.
   std::vector<std::vector<Edge>> out_;
   std::size_t edge_count_ = 0;
+  std::vector<int> held_nodes_;  // on_tuple scratch: the lockset's nodes
 
   DynamicScc scc_;
 
-  // Per-component cached verdicts (label -> suspicious?) plus the cached
-  // aggregate; refreshed lazily for dirty components only.
+  // Per-component cached verdicts (label -> suspicious?) and how many of
+  // them are set; refreshed lazily for dirty components only.
   mutable std::vector<char> comp_suspicious_;
-  mutable bool verdict_ = false;
-  mutable std::size_t verdict_scc_count_ = 0;
+  mutable std::size_t suspicious_count_ = 0;
 };
 
 // Lockset bitmask over the first GuardMask::kBits lock ids; see GuardMask

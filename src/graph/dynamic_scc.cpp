@@ -41,16 +41,24 @@ bool DynamicScc::has_dirty() const {
   return !dirty_nodes_.empty() || !pending_split_.empty();
 }
 
-std::vector<int> DynamicScc::drain_dirty() {
+std::vector<int> DynamicScc::dirty_components() const {
   flush();
+  const std::uint32_t gen = ++stamp_gen_;
   std::vector<int> comps;
   for (Node v : dirty_nodes_) {
-    dirty_flag_[static_cast<std::size_t>(v)] = 0;
     const int c = comp_[static_cast<std::size_t>(v)];
-    if (std::find(comps.begin(), comps.end(), c) == comps.end())
-      comps.push_back(c);
+    if (stamp_[static_cast<std::size_t>(c)] == gen) continue;
+    stamp_[static_cast<std::size_t>(c)] = gen;
+    comps.push_back(c);
   }
+  return comps;
+}
+
+std::vector<int> DynamicScc::drain_dirty() {
+  std::vector<int> comps = dirty_components();
+  for (Node v : dirty_nodes_) dirty_flag_[static_cast<std::size_t>(v)] = 0;
   dirty_nodes_.clear();
+  retired_.clear();
   return comps;
 }
 
@@ -64,6 +72,7 @@ void DynamicScc::bounded_search(int start, std::int64_t lo, std::int64_t hi,
     const int c = stack.back();
     stack.pop_back();
     visited.push_back(c);
+    ++order_visits_;
     for (Node v : members_[static_cast<std::size_t>(c)]) {
       const auto& adj =
           forward ? out_[static_cast<std::size_t>(v)] : in_[static_cast<std::size_t>(v)];
@@ -98,60 +107,78 @@ bool DynamicScc::add_edge(Node u, Node v) {
   bounded_search(cv, ov, ou, /*forward=*/true, forward_set);
   bounded_search(cu, ov, ou, /*forward=*/false, backward_set);
 
+  // The affected region's positions, ascending: the only ones reassigned.
+  std::vector<std::int64_t> pool;
+  pool.reserve(forward_set.size() + backward_set.size());
+  for (int c : forward_set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
+  for (int c : backward_set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+
   std::sort(forward_set.begin(), forward_set.end());
   std::sort(backward_set.begin(), backward_set.end());
   std::vector<int> on_cycle;
   std::set_intersection(forward_set.begin(), forward_set.end(),
                         backward_set.begin(), backward_set.end(),
                         std::back_inserter(on_cycle));
-
-  if (!on_cycle.empty()) {
-    // cv reaches cu: the new edge closes a cycle through exactly the
-    // components in the intersection. Collapse them into the one with the
-    // most members (smaller-into-larger keeps total relabel work
-    // O(n log n) over the graph's lifetime).
-    ++merges_;
-    int target = on_cycle.front();
-    for (int c : on_cycle)
-      if (members_[static_cast<std::size_t>(c)].size() >
-          members_[static_cast<std::size_t>(target)].size())
-        target = c;
-    auto& into = members_[static_cast<std::size_t>(target)];
-    for (int c : on_cycle) {
-      if (c == target) continue;
-      for (Node m : members_[static_cast<std::size_t>(c)]) {
-        comp_[static_cast<std::size_t>(m)] = target;
-        into.push_back(m);
-        mark_dirty(m);
-      }
-      members_[static_cast<std::size_t>(c)].clear();
-      members_[static_cast<std::size_t>(c)].shrink_to_fit();
-      --live_components_;
-    }
-    mark_dirty(u);  // the merged component's membership changed
-    mark_dirty(v);
-    recompute_order();
-    return true;
-  }
-
-  // No cycle: restore the order by reassigning the affected components'
-  // positions — ancestors of u first (preserving their relative order),
-  // then descendants of v. No F→B edge can exist (it would close a cycle),
-  // so this is a valid topological order of the condensation (PK Thm. 1).
-  std::vector<std::int64_t> pool;
-  pool.reserve(forward_set.size() + backward_set.size());
-  auto by_ord = [&](int a, int b) {
-    return ord_[static_cast<std::size_t>(a)] < ord_[static_cast<std::size_t>(b)];
+  // F\C and B\C: with no cycle, C is empty and these are F and B.
+  auto drop_cycle = [&](std::vector<int>& set) {
+    std::vector<int> rest;
+    std::set_difference(set.begin(), set.end(), on_cycle.begin(),
+                        on_cycle.end(), std::back_inserter(rest));
+    std::sort(rest.begin(), rest.end(), [&](int a, int b) {
+      return ord_[static_cast<std::size_t>(a)] <
+             ord_[static_cast<std::size_t>(b)];
+    });
+    set = std::move(rest);
   };
-  std::sort(forward_set.begin(), forward_set.end(), by_ord);
-  std::sort(backward_set.begin(), backward_set.end(), by_ord);
-  for (int c : forward_set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
-  for (int c : backward_set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
-  std::sort(pool.begin(), pool.end());
+  drop_cycle(forward_set);
+  drop_cycle(backward_set);
+
+  // Local repair inside the pool, each group keeping its relative order:
+  // B\C takes the lowest positions, F\C the highest, and the merged
+  // component (if any) the one after B\C. B\C only moves down and F\C
+  // only up, so edges leaving the region stay forward; an edge entering the
+  // cycle comes from below the pool and one leaving it goes above, so any
+  // pool slot is valid for the merged component; and no edge runs from
+  // F\C or C back into B\C, nor from F\C into C — either would put its
+  // source on the new cycle (PK Thm. 1, extended to the collapse).
   std::size_t slot = 0;
   for (int c : backward_set) ord_[static_cast<std::size_t>(c)] = pool[slot++];
+  if (!on_cycle.empty())
+    ord_[static_cast<std::size_t>(merge(on_cycle))] = pool[slot];
+  slot = pool.size() - forward_set.size();
   for (int c : forward_set) ord_[static_cast<std::size_t>(c)] = pool[slot++];
-  return false;
+  if (on_cycle.empty()) return false;
+  mark_dirty(u);  // the merged component's membership changed
+  mark_dirty(v);
+  return true;
+}
+
+int DynamicScc::merge(const std::vector<int>& on_cycle) {
+  // The new edge closes a cycle through exactly these components. Collapse
+  // them into the one with the most members (smaller-into-larger keeps total
+  // relabel work O(n log n) over the graph's lifetime).
+  ++merges_;
+  int target = on_cycle.front();
+  for (int c : on_cycle)
+    if (members_[static_cast<std::size_t>(c)].size() >
+        members_[static_cast<std::size_t>(target)].size())
+      target = c;
+  auto& into = members_[static_cast<std::size_t>(target)];
+  for (int c : on_cycle) {
+    if (c == target) continue;
+    for (Node m : members_[static_cast<std::size_t>(c)]) {
+      comp_[static_cast<std::size_t>(m)] = target;
+      into.push_back(m);
+      mark_dirty(m);
+    }
+    members_[static_cast<std::size_t>(c)].clear();
+    members_[static_cast<std::size_t>(c)].shrink_to_fit();
+    retired_.push_back(c);
+    --live_components_;
+  }
+  return target;
 }
 
 void DynamicScc::remove_edge(Node u, Node v) {
@@ -263,6 +290,7 @@ void DynamicScc::recompute_order() const {
       frames.pop_back();
     }
   }
+  order_visits_ += postorder.size();
   std::int64_t position = static_cast<std::int64_t>(postorder.size());
   for (int c : postorder)
     ord_[static_cast<std::size_t>(c)] = --position >= 0
@@ -393,12 +421,14 @@ void DynamicScc::clear() {
   pending_flag_.clear();
   dirty_nodes_.clear();
   dirty_flag_.clear();
+  retired_.clear();
   stamp_.clear();
   stamp_gen_ = 0;
   next_ord_ = 0;
   merges_ = 0;
   splits_ = 0;
   order_rebuilds_ = 0;
+  order_visits_ = 0;
 }
 
 }  // namespace wolf

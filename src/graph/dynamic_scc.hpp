@@ -14,19 +14,23 @@
 //     Acyclic Graphs", JEA 2006; the bounded-discovery family of Bender et
 //     al.): an edge u→v whose components already satisfy ord(u) < ord(v)
 //     is O(1). Otherwise two searches bounded to the affected order range
-//     [ord(v), ord(u)] either reorder the region (no cycle) or discover
-//     the components on v→…→u paths and collapse them into one
-//     condensation node (cycle). Components are explicit label sets merged
-//     smaller-into-larger, so collapse is amortized O(n log n) relabels
-//     over the graph's lifetime — no union-find deletion problem later;
+//     [ord(v), ord(u)] find the forward set F and backward set B. With no
+//     cycle the region's positions are reassigned B then F; with a cycle
+//     the components C = F∩B on v→…→u paths collapse into one condensation
+//     node, and the positions go B\C, the merged node, F\C — either way
+//     only the region is touched, never the whole order. Components are
+//     explicit label sets merged smaller-into-larger, so collapse is
+//     amortized O(n log n) relabels over the graph's lifetime — no
+//     union-find deletion problem later;
 //   * deletions — removing a cross-component edge cannot change any SCC or
 //     invalidate the order: O(1). Removing an intra-component edge can
 //     split the component; the split is *lazy and bounded*: the component
 //     is queued, and the next structural operation re-runs Tarjan over
 //     that component's members only (the affected condensation region).
 //     A batch of expiries therefore costs one bounded rebuild per touched
-//     component, not one per edge. Soundness is inherited from the same
-//     Tarjan the batch path runs;
+//     component, not one per edge, and a flush that split anything runs one
+//     global order pass (splits only follow eviction). Soundness is
+//     inherited from the same Tarjan the batch path runs;
 //   * dirty tracking — node-granular marks, folded upward: any membership
 //     change (merge, split, node creation) and any caller-reported touch
 //     leaves a mark, and drain_dirty() maps the marks to their *current*
@@ -78,6 +82,11 @@ class DynamicScc {
   // cross-component edge u -> v, order_of(u's comp) < order_of(v's comp).
   std::int64_t order_of(int comp) const;
 
+  // Out-neighbours of `v` (unique edges), for the order-invariant tests.
+  const std::vector<Node>& successors(Node v) const {
+    return out_[static_cast<std::size_t>(v)];
+  }
+
   // Marks `v` dirty without mutating the graph — the caller's hook for
   // "something about this node's tuples changed" (new contribution, guard
   // narrowing, contributor expiry).
@@ -85,15 +94,17 @@ class DynamicScc {
   // True when drain_dirty() would return anything — including marks a queued
   // lazy split will add once flushed.
   bool has_dirty() const;
-  // Read-only view of the marked nodes (drain_dirty's non-clearing twin).
-  // Callers that need split-induced marks included must force a flush first
-  // (any structural accessor, e.g. component_capacity(), does).
-  const std::vector<Node>& dirty_nodes() const { return dirty_nodes_; }
-
-  // Current component labels carrying at least one dirty mark, deduplicated;
-  // clears the dirty set. Marks survive merges and splits because they are
-  // stored per node and mapped through the live labels at drain time.
+  // Current component labels carrying at least one dirty mark, deduplicated
+  // (pending splits are flushed first, so their marks are included). Costs
+  // O(marks), never O(components).
+  std::vector<int> dirty_components() const;
+  // dirty_components(), then clears the dirty set and the retired list.
+  // Marks survive merges and splits because they are stored per node and
+  // mapped through the live labels at drain time.
   std::vector<int> drain_dirty();
+  // Labels retired by merges since the last drain_dirty(); labels are never
+  // reused, so a consumer caching per-label state can drop these entries.
+  const std::vector<int>& retired_components() const { return retired_; }
 
   // Fresh Tarjan over the stored adjacency — the executable specification
   // the incremental state must match. Components come back as member lists
@@ -104,7 +115,11 @@ class DynamicScc {
   // Mutation statistics, surfaced for tests and bench diagnostics.
   std::size_t merges() const { return merges_; }
   std::size_t splits() const { return splits_; }
+  // Global order passes (split flushes only; merges repair locally).
   std::size_t order_rebuilds() const { return order_rebuilds_; }
+  // Components visited by order maintenance: bounded searches plus global
+  // passes. The per-mutation work counter the flat-cost tests compare.
+  std::size_t order_visits() const { return order_visits_; }
 
   void clear();
 
@@ -114,6 +129,8 @@ class DynamicScc {
   void flush() const;
   void rebuild_component(int comp) const;
   void recompute_order() const;
+  // Collapses the cycle components into the largest one; returns its label.
+  int merge(const std::vector<int>& on_cycle);
   // Tarjan restricted to `nodes` (empty = all nodes), using only edges whose
   // endpoints are both in the set.
   std::vector<std::vector<Node>> tarjan_over(
@@ -138,6 +155,7 @@ class DynamicScc {
 
   mutable std::vector<Node> dirty_nodes_;
   mutable std::vector<char> dirty_flag_;           // node -> marked?
+  std::vector<int> retired_;                       // merged-away labels
 
   // Per-operation visited stamps over component labels (avoids clearing a
   // bool vector on every bounded search).
@@ -151,6 +169,7 @@ class DynamicScc {
   mutable std::size_t merges_ = 0;
   mutable std::size_t splits_ = 0;
   mutable std::size_t order_rebuilds_ = 0;
+  mutable std::size_t order_visits_ = 0;
 
   int new_component_label() const;
 };

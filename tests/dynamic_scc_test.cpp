@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,14 +39,28 @@ Partition partition_from_labels(const DynamicScc& scc) {
   return p;
 }
 
-// The differential contract plus the order invariant: every cross-component
-// edge must go forward in the maintained topological order.
+// Every cross-component edge goes forward in the maintained topological
+// order; returns the first edge that does not, as "u->v", or "".
+std::string order_violation(const DynamicScc& scc) {
+  for (std::size_t u = 0; u < scc.node_count(); ++u) {
+    const int cu = scc.component_of(static_cast<DynamicScc::Node>(u));
+    for (DynamicScc::Node v : scc.successors(static_cast<DynamicScc::Node>(u))) {
+      const int cv = scc.component_of(v);
+      if (cu != cv && scc.order_of(cu) >= scc.order_of(cv))
+        return std::to_string(u) + "->" + std::to_string(v);
+    }
+  }
+  return "";
+}
+
+// The differential contract plus the order invariant.
 void expect_consistent(const DynamicScc& scc) {
   EXPECT_EQ(partition_from_labels(scc), partition_from_oracle(scc));
   EXPECT_EQ(scc.component_count(), partition_from_oracle(scc).size());
   for (const auto& comp : scc.tarjan_components())
     for (DynamicScc::Node v : comp)
       EXPECT_TRUE(scc.component_alive(scc.component_of(v)));
+  EXPECT_EQ(order_violation(scc), "") << "edge against the order";
 }
 
 TEST(DynamicSccTest, SingletonsStartAlone) {
@@ -77,6 +92,7 @@ TEST(DynamicSccTest, BackEdgeCollapsesThePath) {
   EXPECT_EQ(scc.component_count(), 1u);
   EXPECT_TRUE(scc.same_component(0, 4));
   EXPECT_EQ(scc.merges(), 1u);
+  EXPECT_EQ(scc.order_rebuilds(), 0u);  // merges repair the order locally
   expect_consistent(scc);
 }
 
@@ -90,6 +106,31 @@ TEST(DynamicSccTest, CollapseIsBoundedToThePath) {
   EXPECT_TRUE(scc.add_edge(2, 0));
   EXPECT_EQ(scc.component_count(), 4u);  // {0,1,2}, {3}, {4}, {5}
   EXPECT_FALSE(scc.same_component(0, 3));
+  expect_consistent(scc);
+}
+
+// The merge repair reorders only the affected region: a predecessor of the
+// cycle parked above it (3) moves below the merged component, a successor
+// parked below it (1) moves above, and a bystander keeps its position.
+TEST(DynamicSccTest, MergeRepairsTheOrderAroundTheCollapsedRegion) {
+  DynamicScc scc;
+  for (int i = 0; i < 6; ++i) scc.add_node();  // positions follow the ids
+  scc.add_edge(0, 2);
+  scc.add_edge(2, 4);
+  scc.add_edge(0, 1);
+  scc.add_edge(3, 4);
+  const std::int64_t bystander = scc.order_of(scc.component_of(5));
+  const std::size_t visits = scc.order_visits();
+  EXPECT_EQ(visits, 0u);  // every edge so far was already forward
+  EXPECT_TRUE(scc.add_edge(4, 0));  // closes 0 -> 2 -> 4 -> 0
+  const int merged = scc.component_of(0);
+  EXPECT_EQ(merged, scc.component_of(2));
+  EXPECT_EQ(merged, scc.component_of(4));
+  EXPECT_LT(scc.order_of(scc.component_of(3)), scc.order_of(merged));
+  EXPECT_LT(scc.order_of(merged), scc.order_of(scc.component_of(1)));
+  EXPECT_EQ(scc.order_of(scc.component_of(5)), bystander);
+  EXPECT_EQ(scc.order_visits(), 8u);  // F = {0,1,2,4}, B = {4,2,3,0}
+  EXPECT_EQ(scc.order_rebuilds(), 0u);
   expect_consistent(scc);
 }
 
@@ -224,10 +265,87 @@ TEST_P(DynamicSccFuzz, MatchesFreshTarjanAfterEveryMutation) {
     }
     ASSERT_EQ(partition_from_labels(scc), partition_from_oracle(scc))
         << "seed " << GetParam() << " step " << s;
+    ASSERT_EQ(order_violation(scc), "")
+        << "seed " << GetParam() << " step " << s;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicSccFuzz, ::testing::Range(0, 60));
+
+// Structure-seeking interleavings: node creation, back edges that close
+// cycles (merges), removals of edges inside a component (splits) and
+// expiry batches — several removals queued before any read, so one flush
+// rebuilds several components. After every step the partition must equal
+// fresh Tarjan, the order must be topological, and a drain must name only
+// live labels, each once.
+class DynamicSccStructureFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(DynamicSccStructureFuzz, MergeSplitExpiryInterleavingsStayConsistent) {
+  Rng rng(0x5CC5u + static_cast<std::uint64_t>(GetParam()) * 104729u);
+  DynamicScc scc;
+  std::vector<std::pair<int, int>> live_edges;
+  auto live = [&](int u, int v) {
+    return std::find(live_edges.begin(), live_edges.end(),
+                     std::make_pair(u, v)) != live_edges.end();
+  };
+  auto remove_at = [&](std::size_t pick) {
+    const auto [u, v] = live_edges[pick];
+    live_edges.erase(live_edges.begin() + static_cast<std::ptrdiff_t>(pick));
+    scc.remove_edge(u, v);
+  };
+  for (int i = 0; i < 3; ++i) scc.add_node();
+  std::size_t merges = 0, splits = 0;
+  for (int s = 0; s < 150; ++s) {
+    const int nodes = static_cast<int>(scc.node_count());
+    const std::uint64_t op = rng.below(10);
+    if (op == 0 && nodes < 16) {
+      scc.add_node();
+    } else if (op <= 3 && !live_edges.empty()) {
+      // Back edge of a live edge: closes a cycle whenever absent.
+      const auto [u, v] = live_edges[rng.below(live_edges.size())];
+      if (!live(v, u)) {
+        live_edges.emplace_back(v, u);
+        scc.add_edge(v, u);
+      }
+    } else if (op <= 5) {
+      // Removal inside a component: a candidate split.
+      std::vector<std::size_t> inside;
+      for (std::size_t e = 0; e < live_edges.size(); ++e)
+        if (scc.same_component(live_edges[e].first, live_edges[e].second))
+          inside.push_back(e);
+      if (!inside.empty()) remove_at(inside[rng.below(inside.size())]);
+    } else if (op == 6 && live_edges.size() >= 3) {
+      // Expiry batch: up to three removals queued before any read.
+      for (std::uint64_t k = 1 + rng.below(3); k > 0 && !live_edges.empty(); --k)
+        remove_at(rng.below(live_edges.size()));
+    } else {
+      const int u = static_cast<int>(rng.below(static_cast<std::size_t>(nodes)));
+      const int v = static_cast<int>(rng.below(static_cast<std::size_t>(nodes)));
+      if (!live(u, v)) {
+        live_edges.emplace_back(u, v);
+        scc.add_edge(u, v);
+      }
+    }
+    ASSERT_EQ(partition_from_labels(scc), partition_from_oracle(scc))
+        << "seed " << GetParam() << " step " << s;
+    ASSERT_EQ(order_violation(scc), "")
+        << "seed " << GetParam() << " step " << s;
+    if (rng.chance(0.3)) {
+      const std::vector<int> dirty = scc.drain_dirty();
+      ASSERT_EQ(std::set<int>(dirty.begin(), dirty.end()).size(), dirty.size());
+      for (int c : dirty) ASSERT_TRUE(scc.component_alive(c));
+      ASSERT_TRUE(scc.retired_components().empty());
+    }
+    merges = scc.merges();
+    splits = scc.splits();
+  }
+  // The campaign must exercise what it claims.
+  EXPECT_GT(merges, 0u) << "seed " << GetParam();
+  EXPECT_GT(splits, 0u) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DynamicSccStructureFuzz,
+                         ::testing::Range(0, 60));
 
 }  // namespace
 }  // namespace wolf

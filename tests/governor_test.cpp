@@ -31,6 +31,7 @@
 #include "core/governor.hpp"
 #include "core/pipeline.hpp"
 #include "core/prefilter.hpp"
+#include "obs/counters.hpp"
 #include "robust/fault.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
@@ -500,6 +501,15 @@ TEST_P(LockGraphMutationFuzz, CondensationEqualsFreshTarjanAfterEveryStep) {
     }
     ASSERT_EQ(label_partition(g.scc()), oracle_partition(g.scc()))
         << "seed " << GetParam() << " step " << s;
+    // The running suspicious count equals a scan of the cached per-label
+    // verdicts over the live labels (merges retire labels it must drop).
+    std::size_t flagged = 0;
+    for (std::size_t c = 0; c < g.scc().component_capacity(); ++c)
+      if (g.scc().component_alive(static_cast<int>(c)) &&
+          g.component_suspicious(static_cast<int>(c)))
+        ++flagged;
+    ASSERT_EQ(g.suspicious_scc_count(), flagged)
+        << "seed " << GetParam() << " step " << s;
 
     // Soundness of the (stale-refinement) incremental verdict: a graph
     // rebuilt from exactly the live tuples may only be LESS suspicious.
@@ -654,6 +664,62 @@ Trace churn_trace(std::size_t periods, std::size_t period) {
   }
   for (std::size_t i = 0; i < trace.events.size(); ++i) trace.events[i].seq = i;
   return trace;
+}
+
+// What one churn window costs, counted rather than timed: components
+// visited by the pre-filter's order maintenance, and the cycle engine's mask
+// words and holder-index slots.
+struct WindowWork {
+  std::uint64_t order_visits = 0;
+  std::uint64_t mask_words = 0;
+  std::uint64_t holder_slots = 0;
+  std::size_t order_rebuilds = 0;
+  std::size_t merges = 0;
+};
+
+WindowWork last_churn_window_work(std::size_t periods) {
+  constexpr std::size_t kPeriod = 64;
+  const Trace trace = churn_trace(periods, kPeriod);
+  GovernorOptions options;
+  options.window_events = kPeriod;  // one period per window
+  Governor gov(options);
+  const std::size_t last = trace.events.size() - kPeriod;
+  for (std::size_t i = 0; i < last; ++i) gov.add(trace.events[i]);
+  const DynamicScc& scc = gov.prefilter().scc();
+  const std::size_t visits = scc.order_visits();
+  obs::set_counters_enabled(true);
+  const obs::CounterSnapshot before = obs::CounterRegistry::instance().snapshot();
+  for (std::size_t i = last; i < trace.events.size(); ++i) gov.add(trace.events[i]);
+  const obs::CounterSnapshot spent =
+      obs::delta(obs::CounterRegistry::instance().snapshot(), before);
+  obs::set_counters_enabled(false);
+  EXPECT_EQ(gov.windows().size(), periods);
+  EXPECT_EQ(gov.windows().back().new_cycles, 1u);
+  WindowWork w;
+  w.order_visits = scc.order_visits() - visits;
+  w.mask_words = spent.value("detector.mask_words");
+  w.holder_slots = spent.value("detector.holder_slots");
+  w.order_rebuilds = scc.order_rebuilds();
+  w.merges = scc.merges();
+  return w;
+}
+
+TEST(GovernorTest, ChurnWindowWorkIsFlatInTheSessionLength) {
+  // The last window of a 4x longer churn session does exactly the counted
+  // work of the last window of a short one: every per-window structure is
+  // sized by what the window changed, not by what the session has seen.
+  const WindowWork short_run = last_churn_window_work(16);
+  const WindowWork long_run = last_churn_window_work(64);
+  EXPECT_GT(short_run.order_visits, 0u);  // the ring's back edge was repaired
+  EXPECT_GT(short_run.mask_words, 0u);    // and its cycle enumerated
+  EXPECT_EQ(long_run.order_visits, short_run.order_visits);
+  EXPECT_EQ(long_run.mask_words, short_run.mask_words);
+  EXPECT_EQ(long_run.holder_slots, short_run.holder_slots);
+  // Every ring merges; with nothing expiring, no global order pass runs.
+  EXPECT_EQ(short_run.merges, 16u);
+  EXPECT_EQ(long_run.merges, 64u);
+  EXPECT_EQ(short_run.order_rebuilds, 0u);
+  EXPECT_EQ(long_run.order_rebuilds, 0u);
 }
 
 TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
