@@ -7,6 +7,7 @@
 #include <span>
 
 #include "core/pruner.hpp"
+#include "graph/tarjan.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
 
@@ -211,73 +212,35 @@ class SccEngine {
   }
 
   // Tarjan-partitions the tuple digraph (η → η' iff η' holds lock(η) and the
-  // threads differ — every edge a deadlock chain can take). A cycle through
-  // a tuple is a digraph cycle, hence confined to the tuple's SCC; only
-  // components with ≥ 2 nodes can carry one (self loops are impossible:
-  // a thread is never its own neighbor). The digraph stays implicit: a
-  // node's successors are read off the holder CSR, so the partition costs
+  // threads differ — every edge a deadlock chain can take) with the shared
+  // routine (graph/tarjan.hpp). A cycle through a tuple is a digraph cycle,
+  // hence confined to the tuple's SCC; only components with ≥ 2 nodes can
+  // carry one (self loops are impossible: a thread is never its own
+  // neighbor). The digraph stays implicit: a node's successors are read off
+  // the holder CSR, same-thread holders skipped, so the partition costs
   // O(nodes) memory however many edges the tuples induce.
   void partition() {
-    const std::size_t n = tuple_of_.size();
-    std::vector<std::uint32_t> index(n, kNone);
-    std::vector<std::uint32_t> low(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<std::uint32_t> stack;
-    struct Frame {
-      std::uint32_t node;
-      ThreadId thread;
-      const std::uint32_t* next;  // cursor into the node's successors
-      const std::uint32_t* end;
-    };
-    std::vector<Frame> frames;
-    std::uint32_t next_index = 0;
-    auto open = [&](std::uint32_t v) {
-      index[v] = low[v] = next_index++;
-      stack.push_back(v);
-      on_stack[v] = true;
-      const std::span<const std::uint32_t> succ = successors(v);
-      frames.push_back({v, thread_[v], succ.data(), succ.data() + succ.size()});
-    };
-    comp_.assign(n, 0);
+    comp_.assign(tuple_of_.size(), 0);
     comp_nontrivial_.clear();
-    std::uint64_t nontrivial = 0;
-    for (std::uint32_t root = 0; root < n; ++root) {
-      if (index[root] != kNone) continue;
-      open(root);
-      while (!frames.empty()) {
-        Frame& f = frames.back();
-        const std::uint32_t u = f.node;
-        if (f.next != f.end) {
-          const std::uint32_t v = *f.next++;
-          if (thread_[v] == f.thread) continue;
-          if (index[v] == kNone) {
-            open(v);
-          } else if (on_stack[v]) {
-            low[u] = std::min(low[u], index[v]);
+    TarjanScratch scratch;
+    tarjan_scc(
+        static_cast<std::uint32_t>(tuple_of_.size()),
+        [this](std::uint32_t v, std::size_t& cursor) {
+          const std::span<const std::uint32_t> succ = successors(v);
+          while (cursor < succ.size()) {
+            const std::uint32_t w = succ[cursor++];
+            if (thread_[w] != thread_[v]) return w;
           }
-          continue;
-        }
-        frames.pop_back();
-        if (!frames.empty()) {
-          const std::uint32_t parent = frames.back().node;
-          low[parent] = std::min(low[parent], low[u]);
-        }
-        if (low[u] != index[u]) continue;
-        const auto c = static_cast<std::uint32_t>(comp_nontrivial_.size());
-        std::size_t size = 0;
-        std::uint32_t w = 0;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          comp_[w] = c;
-          ++size;
-        } while (w != u);
-        comp_nontrivial_.push_back(size >= 2);
-        if (size >= 2) ++nontrivial;
-      }
-    }
-    kSccsVisited.add(nontrivial);
+          return kNoNode;
+        },
+        [&](std::span<const std::uint32_t> scc) {
+          const auto c = static_cast<std::uint32_t>(comp_nontrivial_.size());
+          for (std::uint32_t w : scc) comp_[w] = c;
+          comp_nontrivial_.push_back(scc.size() >= 2);
+        },
+        scratch);
+    kSccsVisited.add(static_cast<std::uint64_t>(
+        std::count(comp_nontrivial_.begin(), comp_nontrivial_.end(), true)));
   }
 
   std::size_t size() const { return tuple_of_.size(); }

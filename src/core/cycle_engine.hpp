@@ -1,8 +1,9 @@
 // Scalable cycle enumeration over D_σ (DESIGN.md §12).
 //
 // The engine emits the canonical cycle sequence of detector.hpp. The
-// tuple-level holds→requests digraph is Tarjan-SCC-partitioned
-// (graph/digraph), and DFS runs only from tuples in nontrivial SCCs, never
+// tuple-level holds→requests digraph is SCC-partitioned by the repo's one
+// Tarjan routine (graph/tarjan.hpp, over the implicit digraph read off the
+// holder index), and DFS runs only from tuples in nontrivial SCCs, never
 // leaving the start tuple's component: a cycle through η is itself a digraph
 // cycle, hence confined to SCC(η), so acyclic regions of D_σ cost nothing.
 // Chain state is dense-id bitsets (thread word-mask, lockset word-mask per

@@ -125,62 +125,6 @@ void note_all_timeouts(CycleReport& report) {
     report.failure_reason = "every replay trial timed out";
 }
 
-// Test hook: FaultPlan::classify_throw_cycle simulates a classification stage
-// crashing for one specific cycle.
-void maybe_throw_injected(const WolfOptions& options, std::size_t cycle_index) {
-  if (options.fault != nullptr &&
-      options.fault->classify_throw_cycle == static_cast<int>(cycle_index))
-    throw std::runtime_error(
-        "fault injection: classification stage threw for cycle " +
-        std::to_string(cycle_index));
-}
-
-}  // namespace
-
-CycleReport classify_cycle(const sim::Program& program,
-                           const Detection& detection, std::size_t cycle_index,
-                           const WolfOptions& options) {
-  WOLF_CHECK(cycle_index < detection.cycles.size());
-  const PotentialDeadlock& cycle = detection.cycles[cycle_index];
-
-  CycleReport report;
-  report.cycle_index = cycle_index;
-  try {
-    maybe_throw_injected(options, cycle_index);
-    report.prune_verdict =
-        prune_cycle(cycle, detection.dep, detection.clocks);
-    if (is_false(report.prune_verdict)) {
-      report.classification = Classification::kFalseByPruner;
-      return report;
-    }
-
-    GeneratorResult gen = generate(cycle, detection.dep);
-    report.gs_vertices = gen.gs.vertex_count();
-    if (!gen.feasible) {
-      report.classification = Classification::kFalseByGenerator;
-      return report;
-    }
-
-    ReplayOptions replay_options = options.replay;
-    replay_options.max_steps = options.max_steps;
-    replay_options.fault = options.fault;
-    report.replay_stats =
-        replay(program, cycle, detection.dep, gen.gs, replay_options);
-    if (report.replay_stats.reproduced()) {
-      report.classification = Classification::kReproduced;
-    } else {
-      report.classification = Classification::kUnknown;
-      note_all_timeouts(report);
-    }
-  } catch (const std::exception& e) {
-    report.classification = Classification::kUnknown;
-    report.failure_reason = e.what();
-  }
-  return report;
-}
-
-namespace {
-
 Classification defect_classification(const std::vector<CycleReport>& cycles,
                                      const Defect& defect) {
   bool any_reproduced = false;
@@ -274,7 +218,12 @@ WolfReport classify_detection(const sim::Program& program, Detection detection,
       CycleStage& stage = stages[c];
       stage.report.cycle_index = c;
       try {
-        maybe_throw_injected(options, c);
+        // Test hook: a classification stage crashing for this one cycle.
+        if (options.fault != nullptr &&
+            options.fault->classify_throw_cycle == static_cast<int>(c))
+          throw std::runtime_error(
+              "fault injection: classification stage threw for cycle " +
+              std::to_string(c));
 
         {
           obs::Span prune_span(&sink, "cycle/prune", feasibility_id, c);

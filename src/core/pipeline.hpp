@@ -73,9 +73,6 @@ struct PhaseTimings {
   double feasibility_wall_seconds = 0;
   double replay_wall_seconds = 0;
 
-  double classify_cpu_seconds() const {
-    return prune_seconds + generate_seconds + replay_seconds;
-  }
   double classify_wall_seconds() const {
     return feasibility_wall_seconds + replay_wall_seconds;
   }
@@ -182,11 +179,5 @@ class Session;  // wolf.hpp — the unified online-analysis facade
 // false afterwards — analyzes the prefix delivered).
 WolfReport analyze_session(const sim::Program& program, Session& session,
                            TraceReader& reader, const WolfOptions& options);
-
-// Classifies one detected cycle (prune → generate → replay); exposed for
-// targeted tests and the comparison harnesses.
-CycleReport classify_cycle(const sim::Program& program,
-                           const Detection& detection, std::size_t cycle_index,
-                           const WolfOptions& options);
 
 }  // namespace wolf

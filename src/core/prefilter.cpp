@@ -33,6 +33,7 @@ int LockGraph::intern(LockId lock) {
 void LockGraph::on_tuple(ThreadId thread, LockId lock,
                          std::span<const LockId> lockset) {
   if (lockset.empty()) return;  // top-of-stack acquisitions add no edge
+  verdicts_fresh_ = false;
   // Held locks first: a fresh requested lock then gets the newest node and
   // the latest order position, so its fresh in-edges are already forward
   // and take add_edge's O(1) path.
@@ -71,6 +72,7 @@ void LockGraph::on_tuple(ThreadId thread, LockId lock,
 
 void LockGraph::on_duplicate(LockId lock, std::span<const LockId> lockset) {
   if (lockset.empty()) return;
+  verdicts_fresh_ = false;
   scc_.mark_dirty(node_of(lock));
   for (LockId held : lockset) scc_.mark_dirty(node_of(held));
 }
@@ -83,6 +85,7 @@ int LockGraph::node_of(LockId lock) const {
 
 void LockGraph::on_tuple_removed(LockId lock, std::span<const LockId> lockset) {
   if (lockset.empty()) return;
+  verdicts_fresh_ = false;
   const int to = node_of(lock);
   for (LockId held : lockset) {
     const int from = node_of(held);
@@ -105,6 +108,7 @@ void LockGraph::on_tuple_removed(LockId lock, std::span<const LockId> lockset) {
 }
 
 bool LockGraph::evaluate(int comp) const {
+  ++evaluations_;
   const std::vector<DynamicScc::Node>& mem = scc_.members(comp);
   // A suspicious SCC spans >= 2 locks, its edges come from >= 2 distinct
   // threads, and no lock is held by every contributing tuple of every
@@ -140,12 +144,13 @@ void LockGraph::set_verdict(int comp, bool suspicious) const {
 }
 
 void LockGraph::refresh_verdicts() const {
-  if (!scc_.has_dirty()) return;
+  if (verdicts_fresh_ || !scc_.has_dirty()) return;
   kChecksCounter.add();
   // Labels only grow, so this resize is amortized O(new labels).
   comp_suspicious_.resize(scc_.component_capacity(), 0);
   for (int c : scc_.retired_components()) set_verdict(c, false);
   for (int c : scc_.dirty_components()) set_verdict(c, evaluate(c));
+  verdicts_fresh_ = true;
 }
 
 bool LockGraph::suspicious() const { return suspicious_scc_count() > 0; }
@@ -181,6 +186,8 @@ void LockGraph::clear() {
   scc_.clear();
   comp_suspicious_.clear();
   suspicious_count_ = 0;
+  verdicts_fresh_ = false;
+  evaluations_ = 0;
 }
 
 }  // namespace wolf

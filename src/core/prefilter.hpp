@@ -136,15 +136,16 @@ class LockGraph {
   // True when a drain would observe any change since the last one.
   bool has_dirty() const;
 
+  // Component verdicts evaluated so far: one per dirty component however
+  // many queries precede its drain (a work counter, like order_visits()).
+  std::size_t evaluations() const { return evaluations_; }
+
   std::size_t lock_count() const { return locks_.size(); }
   std::size_t edge_count() const { return edge_count_; }
 
   // The incremental decomposition, exposed read-only for the differential
   // fuzz tests (compare against its own tarjan_components() oracle).
   const DynamicScc& scc() const { return scc_; }
-  LockId lock_of(int node) const {
-    return locks_[static_cast<std::size_t>(node)];
-  }
 
   void clear();
 
@@ -164,7 +165,8 @@ class LockGraph {
   // Re-evaluates every dirty component's cached verdict (without consuming
   // the dirty set — the governor still needs to drain it) and clears the
   // verdicts of labels merges retired, keeping the running count exact.
-  // O(dirty marks + retired labels), never O(components).
+  // O(dirty marks + retired labels), never O(components); a no-op until
+  // the next mark or mutation once it has run.
   void refresh_verdicts() const;
   void set_verdict(int comp, bool suspicious) const;
 
@@ -183,6 +185,9 @@ class LockGraph {
   // them are set; refreshed lazily for dirty components only.
   mutable std::vector<char> comp_suspicious_;
   mutable std::size_t suspicious_count_ = 0;
+  // True while the cached verdicts already cover the current dirty set.
+  mutable bool verdicts_fresh_ = false;
+  mutable std::size_t evaluations_ = 0;
 };
 
 // Lockset bitmask over the first GuardMask::kBits lock ids; see GuardMask

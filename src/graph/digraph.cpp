@@ -171,103 +171,6 @@ std::vector<Digraph::Node> Digraph::ancestors(Node v) const {
   return out;
 }
 
-std::vector<std::vector<Digraph::Node>>
-Digraph::strongly_connected_components() const {
-  // Iterative Tarjan.
-  const int n = node_capacity();
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
-  std::vector<Node> tarjan_stack;
-  std::vector<std::vector<Node>> components;
-  int next_index = 0;
-
-  struct Frame {
-    Node node;
-    std::size_t next_child;
-  };
-
-  for (Node start = 0; start < n; ++start) {
-    if (!alive_[static_cast<std::size_t>(start)]) continue;
-    if (index[static_cast<std::size_t>(start)] != -1) continue;
-    std::vector<Frame> stack;
-    stack.push_back({start, 0});
-    index[static_cast<std::size_t>(start)] = next_index;
-    lowlink[static_cast<std::size_t>(start)] = next_index;
-    ++next_index;
-    tarjan_stack.push_back(start);
-    on_stack[static_cast<std::size_t>(start)] = true;
-
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const auto& out = succ_[static_cast<std::size_t>(f.node)];
-      if (f.next_child < out.size()) {
-        Node child = out[f.next_child++];
-        if (index[static_cast<std::size_t>(child)] == -1) {
-          index[static_cast<std::size_t>(child)] = next_index;
-          lowlink[static_cast<std::size_t>(child)] = next_index;
-          ++next_index;
-          tarjan_stack.push_back(child);
-          on_stack[static_cast<std::size_t>(child)] = true;
-          stack.push_back({child, 0});
-        } else if (on_stack[static_cast<std::size_t>(child)]) {
-          lowlink[static_cast<std::size_t>(f.node)] =
-              std::min(lowlink[static_cast<std::size_t>(f.node)],
-                       index[static_cast<std::size_t>(child)]);
-        }
-      } else {
-        Node done = f.node;
-        stack.pop_back();
-        if (!stack.empty()) {
-          Node parent = stack.back().node;
-          lowlink[static_cast<std::size_t>(parent)] =
-              std::min(lowlink[static_cast<std::size_t>(parent)],
-                       lowlink[static_cast<std::size_t>(done)]);
-        }
-        if (lowlink[static_cast<std::size_t>(done)] ==
-            index[static_cast<std::size_t>(done)]) {
-          std::vector<Node> comp;
-          while (true) {
-            Node w = tarjan_stack.back();
-            tarjan_stack.pop_back();
-            on_stack[static_cast<std::size_t>(w)] = false;
-            comp.push_back(w);
-            if (w == done) break;
-          }
-          components.push_back(std::move(comp));
-        }
-      }
-    }
-  }
-  return components;
-}
-
-std::optional<std::vector<Digraph::Node>> Digraph::topological_order() const {
-  if (has_cycle()) return std::nullopt;
-  // Kahn's algorithm restricted to alive nodes.
-  const int n = node_capacity();
-  std::vector<int> indeg(static_cast<std::size_t>(n), 0);
-  std::vector<Node> ready;
-  for (Node v = 0; v < n; ++v) {
-    if (!alive_[static_cast<std::size_t>(v)]) continue;
-    indeg[static_cast<std::size_t>(v)] =
-        static_cast<int>(pred_[static_cast<std::size_t>(v)].size());
-    if (indeg[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-  }
-  std::vector<Node> order;
-  order.reserve(static_cast<std::size_t>(alive_node_count_));
-  while (!ready.empty()) {
-    Node v = ready.back();
-    ready.pop_back();
-    order.push_back(v);
-    for (Node w : succ_[static_cast<std::size_t>(v)]) {
-      if (--indeg[static_cast<std::size_t>(w)] == 0) ready.push_back(w);
-    }
-  }
-  WOLF_CHECK(order.size() == static_cast<std::size_t>(alive_node_count_));
-  return order;
-}
-
 std::string Digraph::to_dot(const std::vector<std::string>& labels) const {
   std::ostringstream os;
   os << "digraph G {\n";

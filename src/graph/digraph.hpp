@@ -2,8 +2,8 @@
 // pipeline needs: dynamic edge/node removal (the Replayer retires vertices as
 // dependencies are satisfied), cycle detection with witness extraction (the
 // Generator classifies a potential deadlock as false iff its synchronization
-// dependency graph is cyclic), SCC decomposition, topological sort and DOT
-// export for debugging.
+// dependency graph is cyclic) and DOT export for debugging. SCCs come from
+// the one Tarjan routine in graph/tarjan.hpp.
 //
 // Node ids are assigned densely by add_node(); removed nodes keep their id
 // (ids are never reused) but drop out of iteration and adjacency.
@@ -59,13 +59,6 @@ class Digraph {
   // Every node u (alive) with a directed path u -> ... -> v, excluding v
   // itself. Used by the Replayer's vertex-retirement rule.
   std::vector<Node> ancestors(Node v) const;
-
-  // Strongly connected components (Tarjan); each component is a node list.
-  // Components are returned in reverse topological order of the condensation.
-  std::vector<std::vector<Node>> strongly_connected_components() const;
-
-  // Topological order of alive nodes; nullopt when cyclic.
-  std::optional<std::vector<Node>> topological_order() const;
 
   // GraphViz text; labeler may be empty (node ids used).
   std::string to_dot(

@@ -2,9 +2,23 @@
 
 #include <algorithm>
 
+#include "graph/tarjan.hpp"
 #include "support/check.hpp"
 
 namespace wolf {
+
+namespace {
+
+// tarjan_scc successor cursor over a whole adjacency list.
+auto whole_graph(const std::vector<std::vector<DynamicScc::Node>>& out) {
+  return [&out](std::uint32_t v, std::size_t& cursor) {
+    const std::vector<DynamicScc::Node>& succ = out[v];
+    return cursor < succ.size() ? static_cast<std::uint32_t>(succ[cursor++])
+                                : kNoNode;
+  };
+}
+
+}  // namespace
 
 int DynamicScc::new_component_label() const {
   members_.emplace_back();
@@ -25,6 +39,7 @@ DynamicScc::Node DynamicScc::add_node() {
   ord_[static_cast<std::size_t>(label)] = next_ord_++;
   ++live_components_;
   comp_.push_back(label);
+  local_.push_back(kNoNode);
   dirty_flag_.push_back(0);
   mark_dirty(v);
   return v;
@@ -205,9 +220,31 @@ void DynamicScc::remove_edge(Node u, Node v) {
 }
 
 void DynamicScc::rebuild_component(int comp) const {
-  const auto ci = static_cast<std::size_t>(comp);
-  if (members_[ci].size() < 2) return;  // singletons cannot split
-  std::vector<std::vector<Node>> sccs = tarjan_over(members_[ci]);
+  const std::vector<Node>& mem = members_[static_cast<std::size_t>(comp)];
+  if (mem.size() < 2) return;  // singletons cannot split
+  // Tarjan over the members only, as local ids (their positions in `mem`):
+  // edges leaving the component are skipped, so a split costs O(members +
+  // their edges), never O(graph).
+  for (std::size_t i = 0; i < mem.size(); ++i)
+    local_[static_cast<std::size_t>(mem[i])] = static_cast<std::uint32_t>(i);
+  std::vector<std::vector<Node>> sccs;
+  tarjan_scc(
+      static_cast<std::uint32_t>(mem.size()),
+      [&](std::uint32_t v, std::size_t& cursor) {
+        const std::vector<Node>& succ = out_[static_cast<std::size_t>(mem[v])];
+        while (cursor < succ.size()) {
+          const std::uint32_t w =
+              local_[static_cast<std::size_t>(succ[cursor++])];
+          if (w != kNoNode) return w;
+        }
+        return kNoNode;
+      },
+      [&](std::span<const std::uint32_t> scc) {
+        sccs.emplace_back();
+        for (std::uint32_t v : scc) sccs.back().push_back(mem[v]);
+      },
+      tarjan_);
+  for (Node v : mem) local_[static_cast<std::size_t>(v)] = kNoNode;
   if (sccs.size() < 2) return;  // still strongly connected
   ++splits_;
   // Keep the old label for the largest piece (least relabel churn), fresh
@@ -218,9 +255,8 @@ void DynamicScc::rebuild_component(int comp) const {
     if (sccs[i].size() > sccs[largest].size()) largest = i;
   for (std::size_t i = 0; i < sccs.size(); ++i) {
     int label = comp;
-    if (i != largest) {
+    if (i != largest) {  // positioned by flush()'s order pass
       label = new_component_label();
-      ord_[static_cast<std::size_t>(label)] = next_ord_++;  // fixed by caller
       ++live_components_;
     }
     members_[static_cast<std::size_t>(label)] = sccs[i];
@@ -247,131 +283,32 @@ void DynamicScc::flush() const {
 
 void DynamicScc::recompute_order() const {
   ++order_rebuilds_;
-  // Iterative DFS over the condensation; reverse postorder = topological
-  // order (the condensation is acyclic by construction).
-  const std::uint32_t gen = ++stamp_gen_;
-  std::vector<int> postorder;
-  postorder.reserve(live_components_);
-  std::vector<std::pair<int, std::size_t>> frames;  // (comp, member+edge cursor)
-  for (std::size_t root = 0; root < members_.size(); ++root) {
-    if (members_[root].empty()) continue;
-    const int rc = static_cast<int>(root);
-    if (stamp_[root] == gen) continue;
-    stamp_[root] = gen;
-    frames.emplace_back(rc, 0);
-    while (!frames.empty()) {
-      auto& [c, cursor] = frames.back();
-      const auto& nodes = members_[static_cast<std::size_t>(c)];
-      // Flattened (member, successor) cursor over the component's out edges.
-      bool descended = false;
-      std::size_t seen = 0;
-      for (Node m : nodes) {
-        const auto& succ = out_[static_cast<std::size_t>(m)];
-        if (cursor >= seen + succ.size()) {
-          seen += succ.size();
-          continue;
-        }
-        while (cursor < seen + succ.size()) {
-          const Node w = succ[cursor - seen];
-          ++cursor;
-          const int cw = comp_[static_cast<std::size_t>(w)];
-          const auto cwi = static_cast<std::size_t>(cw);
-          if (cw == c || stamp_[cwi] == gen) continue;
-          stamp_[cwi] = gen;
-          frames.emplace_back(cw, 0);
-          descended = true;
-          break;
-        }
-        if (descended) break;
-        seen += succ.size();
-      }
-      if (descended) continue;
-      postorder.push_back(c);
-      frames.pop_back();
-    }
-  }
-  order_visits_ += postorder.size();
-  std::int64_t position = static_cast<std::int64_t>(postorder.size());
-  for (int c : postorder)
-    ord_[static_cast<std::size_t>(c)] = --position >= 0
-                                            ? position
-                                            : 0;  // descending: reverse postorder
-  next_ord_ = static_cast<std::int64_t>(postorder.size());
-}
-
-std::vector<std::vector<DynamicScc::Node>> DynamicScc::tarjan_over(
-    const std::vector<Node>& nodes) const {
-  // Iterative Tarjan restricted to `nodes` (empty = every node); edges with
-  // an endpoint outside the set are ignored.
-  const int n = static_cast<int>(out_.size());
-  std::vector<std::vector<Node>> sccs;
-  if (n == 0) return sccs;
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> low(static_cast<std::size_t>(n), 0);
-  std::vector<char> on_stack(static_cast<std::size_t>(n), 0);
-  std::vector<char> in_set;
-  const bool restricted = !nodes.empty() &&
-                          nodes.size() != static_cast<std::size_t>(n);
-  if (restricted) {
-    in_set.assign(static_cast<std::size_t>(n), 0);
-    for (Node v : nodes) in_set[static_cast<std::size_t>(v)] = 1;
-  }
-  auto included = [&](Node v) {
-    return !restricted || in_set[static_cast<std::size_t>(v)] != 0;
-  };
-  std::vector<Node> stack;
-  std::vector<std::pair<Node, std::size_t>> frames;
-  int next_index = 0;
-  auto roots = nodes;
-  if (roots.empty())
-    for (Node v = 0; v < n; ++v) roots.push_back(v);
-  for (Node root : roots) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    frames.emplace_back(root, 0);
-    while (!frames.empty()) {
-      auto& [v, cursor] = frames.back();
-      const auto vi = static_cast<std::size_t>(v);
-      if (cursor == 0) {
-        index[vi] = low[vi] = next_index++;
-        stack.push_back(v);
-        on_stack[vi] = 1;
-      }
-      const auto& succ = out_[vi];
-      if (cursor < succ.size()) {
-        const Node w = succ[cursor++];
-        const auto wi = static_cast<std::size_t>(w);
-        if (!included(w)) continue;
-        if (index[wi] == -1) {
-          frames.emplace_back(w, 0);
-        } else if (on_stack[wi]) {
-          low[vi] = std::min(low[vi], index[wi]);
-        }
-        continue;
-      }
-      if (low[vi] == index[vi]) {
-        sccs.emplace_back();
-        for (;;) {
-          const Node w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          sccs.back().push_back(w);
-          if (w == v) break;
-        }
-      }
-      frames.pop_back();
-      if (!frames.empty()) {
-        const auto pi = static_cast<std::size_t>(frames.back().first);
-        low[pi] = std::min(low[pi], low[vi]);
-      }
-    }
-  }
-  return sccs;
+  // One whole-graph pass: components come out in reverse topological order
+  // of the condensation, so numbering them from the top position down is a
+  // topological order.
+  std::int64_t position = static_cast<std::int64_t>(live_components_);
+  tarjan_scc(
+      static_cast<std::uint32_t>(out_.size()), whole_graph(out_),
+      [&](std::span<const std::uint32_t> scc) {
+        ord_[static_cast<std::size_t>(comp_[scc.front()])] = --position;
+      },
+      tarjan_);
+  WOLF_CHECK_MSG(position == 0, "DynamicScc: labels disagree with Tarjan");
+  order_visits_ += live_components_;
+  next_ord_ = static_cast<std::int64_t>(live_components_);
 }
 
 std::vector<std::vector<DynamicScc::Node>> DynamicScc::tarjan_components()
     const {
   flush();
-  return tarjan_over({});
+  std::vector<std::vector<Node>> sccs;
+  tarjan_scc(
+      static_cast<std::uint32_t>(out_.size()), whole_graph(out_),
+      [&](std::span<const std::uint32_t> scc) {
+        sccs.emplace_back(scc.begin(), scc.end());
+      },
+      tarjan_);
+  return sccs;
 }
 
 int DynamicScc::component_of(Node v) const {
@@ -414,6 +351,7 @@ void DynamicScc::clear() {
   out_.clear();
   in_.clear();
   comp_.clear();
+  local_.clear();
   members_.clear();
   ord_.clear();
   live_components_ = 0;

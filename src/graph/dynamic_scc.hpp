@@ -26,11 +26,11 @@
 //     invalidate the order: O(1). Removing an intra-component edge can
 //     split the component; the split is *lazy and bounded*: the component
 //     is queued, and the next structural operation re-runs Tarjan over
-//     that component's members only (the affected condensation region).
-//     A batch of expiries therefore costs one bounded rebuild per touched
-//     component, not one per edge, and a flush that split anything runs one
-//     global order pass (splits only follow eviction). Soundness is
-//     inherited from the same Tarjan the batch path runs;
+//     that component's members only (as local ids): O(members + their
+//     edges). A batch of expiries costs one rebuild per touched component,
+//     and a flush that split anything reads every position off one
+//     whole-graph Tarjan pass (splits only follow eviction). All of these,
+//     and the oracle, run the cycle engine's routine (graph/tarjan.hpp);
 //   * dirty tracking — node-granular marks, folded upward: any membership
 //     change (merge, split, node creation) and any caller-reported touch
 //     leaves a mark, and drain_dirty() maps the marks to their *current*
@@ -45,6 +45,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "graph/tarjan.hpp"
 
 namespace wolf {
 
@@ -106,10 +108,10 @@ class DynamicScc {
   // reused, so a consumer caching per-label state can drop these entries.
   const std::vector<int>& retired_components() const { return retired_; }
 
-  // Fresh Tarjan over the stored adjacency — the executable specification
-  // the incremental state must match. Components come back as member lists
-  // in reverse topological order. Used by the lazy rebuild (restricted to
-  // one component) and by the differential fuzz tests (whole graph).
+  // Fresh whole-graph Tarjan over the stored adjacency — the executable
+  // specification the incremental state must match, for the differential
+  // fuzz tests. Components come back as member lists in reverse
+  // topological order.
   std::vector<std::vector<Node>> tarjan_components() const;
 
   // Mutation statistics, surfaced for tests and bench diagnostics.
@@ -127,14 +129,12 @@ class DynamicScc {
   // Applies queued split rebuilds; every public accessor funnels through
   // this so reads always see a consistent decomposition.
   void flush() const;
+  // Splits `comp` into its current SCCs (Tarjan over its members only).
   void rebuild_component(int comp) const;
+  // Renumbers every live component's position from one whole-graph pass.
   void recompute_order() const;
   // Collapses the cycle components into the largest one; returns its label.
   int merge(const std::vector<int>& on_cycle);
-  // Tarjan restricted to `nodes` (empty = all nodes), using only edges whose
-  // endpoints are both in the set.
-  std::vector<std::vector<Node>> tarjan_over(
-      const std::vector<Node>& nodes) const;
   // Condensation successors/predecessors of `comp` whose order lies in
   // [lo, hi], deduplicated via stamp_.
   void bounded_search(int comp, std::int64_t lo, std::int64_t hi, bool forward,
@@ -152,6 +152,10 @@ class DynamicScc {
 
   mutable std::vector<int> pending_split_;         // labels queued for rebuild
   mutable std::vector<char> pending_flag_;         // label -> queued?
+  // Split rebuilds: node -> local id while its component is rebuilt,
+  // kNoNode otherwise; and the Tarjan scratch every pass reuses.
+  mutable std::vector<std::uint32_t> local_;
+  mutable TarjanScratch tarjan_;
 
   mutable std::vector<Node> dirty_nodes_;
   mutable std::vector<char> dirty_flag_;           // node -> marked?

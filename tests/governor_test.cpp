@@ -722,6 +722,36 @@ TEST(GovernorTest, ChurnWindowWorkIsFlatInTheSessionLength) {
   EXPECT_EQ(long_run.order_rebuilds, 0u);
 }
 
+TEST(GovernorTest, EachDirtyComponentIsEvaluatedOncePerWindow) {
+  // A window reads the pre-filter's verdict and then drains the dirty set;
+  // both share one evaluation of each dirty component. Every churn window
+  // closes on a release, which adds no tuple, so the dirty set just before
+  // that event is exactly what the window evaluates and drains.
+  const Trace trace = churn_trace(64, 64);
+  for (std::size_t window : {std::size_t{16}, std::size_t{64}}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    GovernorOptions options;
+    options.window_events = window;
+    Governor gov(options);
+    const LockGraph& graph = gov.prefilter();
+    std::size_t drained = 0;
+    for (std::size_t i = 0; i < trace.events.size(); ++i) {
+      const bool closes = (i + 1) % window == 0;
+      if (closes) {
+        ASSERT_EQ(trace.events[i].kind, EventKind::kLockRelease);
+        drained += graph.scc().dirty_components().size();
+      }
+      gov.add(trace.events[i]);
+      if (closes) {
+        ASSERT_FALSE(graph.has_dirty()) << "window at event " << i;
+      }
+    }
+    ASSERT_EQ(gov.windows().size(), trace.events.size() / window);
+    EXPECT_GT(drained, 0u);
+    EXPECT_EQ(graph.evaluations(), drained);
+  }
+}
+
 TEST(GovernorTest, GovernedRunMatchesBatchDetectBitForBit) {
   // The governed run against its oracle, batch detect() over the same
   // stream, across window sizes and with a budget tight enough to force

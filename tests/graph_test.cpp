@@ -1,11 +1,14 @@
-// Unit and property tests for the digraph: dynamic mutation, cycle
-// detection with witness extraction, ancestors, SCC, topological order.
+// Unit and property tests for the digraph (dynamic mutation, cycle
+// detection with witness extraction, ancestors) and for the shared Tarjan
+// routine (graph/tarjan.hpp) that every SCC in the repo comes from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "graph/digraph.hpp"
+#include "graph/tarjan.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -16,6 +19,26 @@ Digraph path_graph(int n) {
   Digraph g(n);
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
   return g;
+}
+
+// The alive nodes' SCCs through the shared routine, in emission order.
+std::vector<std::vector<Digraph::Node>> sccs_of(const Digraph& g) {
+  std::vector<std::vector<Digraph::Node>> sccs;
+  TarjanScratch scratch;
+  tarjan_scc(
+      static_cast<std::uint32_t>(g.node_capacity()),
+      [&](std::uint32_t v, std::size_t& cursor) {
+        if (!g.alive(static_cast<Digraph::Node>(v))) return kNoNode;
+        const auto& succ = g.successors(static_cast<Digraph::Node>(v));
+        return cursor < succ.size() ? static_cast<std::uint32_t>(succ[cursor++])
+                                    : kNoNode;
+      },
+      [&](std::span<const std::uint32_t> scc) {
+        if (g.alive(static_cast<Digraph::Node>(scc.front())))
+          sccs.emplace_back(scc.begin(), scc.end());
+      },
+      scratch);
+  return sccs;
 }
 
 TEST(DigraphTest, AddAndQueryEdges) {
@@ -147,7 +170,7 @@ TEST(DigraphTest, SccDecomposition) {
   g.add_edge(2, 3);
   g.add_edge(3, 2);  // {2,3}
   // 4 isolated.
-  auto sccs = g.strongly_connected_components();
+  auto sccs = sccs_of(g);
   std::set<std::set<Digraph::Node>> as_sets;
   for (auto& comp : sccs)
     as_sets.insert(std::set<Digraph::Node>(comp.begin(), comp.end()));
@@ -155,28 +178,6 @@ TEST(DigraphTest, SccDecomposition) {
   EXPECT_TRUE(as_sets.count({0, 1}));
   EXPECT_TRUE(as_sets.count({2, 3}));
   EXPECT_TRUE(as_sets.count({4}));
-}
-
-TEST(DigraphTest, TopologicalOrderRespectsEdges) {
-  Digraph g(4);
-  g.add_edge(3, 1);
-  g.add_edge(1, 0);
-  g.add_edge(3, 2);
-  auto order = g.topological_order();
-  ASSERT_TRUE(order.has_value());
-  auto pos = [&](Digraph::Node n) {
-    return std::find(order->begin(), order->end(), n) - order->begin();
-  };
-  EXPECT_LT(pos(3), pos(1));
-  EXPECT_LT(pos(1), pos(0));
-  EXPECT_LT(pos(3), pos(2));
-}
-
-TEST(DigraphTest, TopologicalOrderNulloptOnCycle) {
-  Digraph g(2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  EXPECT_EQ(g.topological_order(), std::nullopt);
 }
 
 TEST(DigraphTest, DotContainsNodesAndEdges) {
@@ -200,9 +201,19 @@ TEST_P(GraphPropertyTest, RandomDagHasNoCycleAndSortsTopologically) {
     for (int j = i + 1; j < n; ++j)
       if (rng.chance(0.25)) g.add_edge(i, j);
   EXPECT_FALSE(g.has_cycle());
-  auto order = g.topological_order();
-  ASSERT_TRUE(order.has_value());
-  EXPECT_EQ(order->size(), static_cast<std::size_t>(n));
+  // Every SCC of a DAG is a singleton, and reversed emission order sorts
+  // it topologically.
+  const auto sccs = sccs_of(g);
+  ASSERT_EQ(sccs.size(), static_cast<std::size_t>(n));
+  std::vector<std::size_t> position(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < sccs.size(); ++i) {
+    ASSERT_EQ(sccs[i].size(), 1u);
+    position[static_cast<std::size_t>(sccs[i][0])] = sccs.size() - 1 - i;
+  }
+  for (Digraph::Node u : g.nodes())
+    for (Digraph::Node v : g.successors(u))
+      EXPECT_LT(position[static_cast<std::size_t>(u)],
+                position[static_cast<std::size_t>(v)]);
 }
 
 TEST_P(GraphPropertyTest, BackEdgeCreatesDetectableCycle) {
@@ -234,7 +245,7 @@ TEST_P(GraphPropertyTest, SccAgreesWithCycleDetector) {
     for (int j = 0; j < n; ++j)
       if (i != j && rng.chance(0.15)) g.add_edge(i, j);
   bool nontrivial_scc = false;
-  for (const auto& comp : g.strongly_connected_components())
+  for (const auto& comp : sccs_of(g))
     if (comp.size() > 1) nontrivial_scc = true;
   bool self_loop = false;
   for (int i = 0; i < n; ++i) self_loop |= g.has_edge(i, i);
@@ -242,6 +253,98 @@ TEST_P(GraphPropertyTest, SccAgreesWithCycleDetector) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphPropertyTest, ::testing::Range(0, 20));
+
+// The shared Tarjan on a random digraph with self loops, restricted to a
+// shuffled node subset mapped to local ids (as DynamicScc's split rebuild
+// runs it) and behind an edge filter (as the cycle engine skips
+// same-thread edges), against a brute-force mutual-reachability partition
+// of the same restricted, filtered graph.
+class TarjanPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TarjanPropertyTest, MatchesMutualReachabilityInReverseTopologicalOrder) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 5);
+  const std::size_t n = 2 + rng.below(30);
+  const double density = 0.04 + 0.25 * rng.uniform();
+  // adjacency[u][v]: 0 no edge, 1 edge the filter skips, 2 kept edge.
+  std::vector<std::vector<int>> adjacency(n, std::vector<int>(n, 0));
+  std::vector<std::vector<std::uint32_t>> out(n);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t v = 0; v < n; ++v)
+      if (rng.chance(density)) {
+        adjacency[u][v] = rng.chance(0.25) ? 1 : 2;
+        out[u].push_back(static_cast<std::uint32_t>(v));
+      }
+  std::vector<std::uint32_t> subset;
+  for (std::size_t v = 0; v < n; ++v)
+    if (rng.chance(0.75)) subset.push_back(static_cast<std::uint32_t>(v));
+  std::shuffle(subset.begin(), subset.end(), rng);
+  std::vector<std::uint32_t> local(n, kNoNode);
+  for (std::size_t i = 0; i < subset.size(); ++i)
+    local[subset[i]] = static_cast<std::uint32_t>(i);
+  const std::size_t m = subset.size();
+
+  std::vector<std::vector<std::uint32_t>> emitted;
+  TarjanScratch scratch;
+  for (int pass = 0; pass < 2; ++pass) {  // the scratch is reusable
+    emitted.clear();
+    tarjan_scc(
+        static_cast<std::uint32_t>(m),
+        [&](std::uint32_t v, std::size_t& cursor) {
+          const std::uint32_t u = subset[v];
+          while (cursor < out[u].size()) {
+            const std::uint32_t w = out[u][cursor++];
+            if (adjacency[u][w] == 2 && local[w] != kNoNode) return local[w];
+          }
+          return kNoNode;
+        },
+        [&](std::span<const std::uint32_t> scc) {
+          emitted.emplace_back(scc.begin(), scc.end());
+        },
+        scratch);
+  }
+
+  // Brute force: reach[a][b] over the kept edges inside the subset.
+  std::vector<std::vector<char>> reach(m, std::vector<char>(m, 0));
+  for (std::size_t a = 0; a < m; ++a) {
+    reach[a][a] = 1;
+    for (std::size_t b = 0; b < m; ++b)
+      if (adjacency[subset[a]][subset[b]] == 2) reach[a][b] = 1;
+  }
+  for (std::size_t k = 0; k < m; ++k)
+    for (std::size_t a = 0; a < m; ++a)
+      if (reach[a][k])
+        for (std::size_t b = 0; b < m; ++b)
+          if (reach[k][b]) reach[a][b] = 1;
+  std::set<std::set<std::uint32_t>> expected;
+  for (std::size_t a = 0; a < m; ++a) {
+    std::set<std::uint32_t> comp;
+    for (std::size_t b = 0; b < m; ++b)
+      if (reach[a][b] && reach[b][a]) comp.insert(static_cast<std::uint32_t>(b));
+    expected.insert(comp);
+  }
+
+  std::vector<std::size_t> emitted_at(m, emitted.size());
+  std::set<std::set<std::uint32_t>> actual;
+  for (std::size_t i = 0; i < emitted.size(); ++i) {
+    for (std::uint32_t v : emitted[i]) {
+      ASSERT_LT(v, m);
+      ASSERT_EQ(emitted_at[v], emitted.size()) << "node " << v << " twice";
+      emitted_at[v] = i;
+    }
+    actual.emplace(emitted[i].begin(), emitted[i].end());
+  }
+  EXPECT_EQ(actual, expected);
+  // Reverse topological emission: a cross-SCC edge runs from a
+  // later-emitted component to an earlier-emitted one.
+  for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t b = 0; b < m; ++b)
+      if (adjacency[subset[a]][subset[b]] == 2 &&
+          emitted_at[a] != emitted_at[b]) {
+        EXPECT_GT(emitted_at[a], emitted_at[b]) << a << " -> " << b;
+      }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TarjanPropertyTest, ::testing::Range(0, 100));
 
 }  // namespace
 }  // namespace wolf
